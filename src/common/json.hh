@@ -2,10 +2,10 @@
  * @file
  * Minimal JSON: a recursive-descent parser into an ordered Value tree
  * plus the escape helper every hand-rolled writer in this repo needs.
- * Built for the acp-rpc-v1 control plane (requests and frames are
- * small, trusted, line-delimited objects), not for bulk data — result
- * payloads travel in the result-codec text format instead, which
- * round-trips doubles bit-exactly.
+ * Built for small, trusted documents (e.g. reading back acpsim's
+ * --json output), not for bulk data — result payloads are stored in
+ * the result-codec text format instead, which round-trips doubles
+ * bit-exactly.
  *
  * Numbers keep their original token text, so integer fields (seeds,
  * sizes) survive the trip without passing through a double: use

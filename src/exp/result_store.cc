@@ -1,11 +1,14 @@
 #include "exp/result_store.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
-#include <vector>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "exp/result_codec.hh"
 #include "obs/manifest.hh"
@@ -28,6 +31,19 @@ writeFile(const std::string &path, const std::string &text)
     return true;
 }
 
+/** Append the complete contents of @p path to @p out. */
+void
+readFile(const std::string &path, std::string &out)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return;
+    char buf[65536];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;)
+        out.append(buf, n);
+    std::fclose(f);
+}
+
 /** Fresh index header: version line + provenance manifest comment. */
 std::string
 indexHeaderText()
@@ -36,24 +52,62 @@ indexHeaderText()
            obs::manifestJsonLine(obs::manifest()) + "\n";
 }
 
+/** flock(LOCK_EX) on the store's lock file for one scope; a no-op
+ *  for a memory-only store (fd < 0). */
+class DirLock
+{
+  public:
+    explicit DirLock(int fd) : fd_(fd)
+    {
+        if (fd_ >= 0)
+            while (::flock(fd_, LOCK_EX) != 0 && errno == EINTR)
+                continue;
+    }
+    ~DirLock()
+    {
+        if (fd_ >= 0)
+            ::flock(fd_, LOCK_UN);
+    }
+    DirLock(const DirLock &) = delete;
+    DirLock &operator=(const DirLock &) = delete;
+
+  private:
+    int fd_;
+};
+
 } // namespace
 
-ResultStore::ResultStore(std::string dir, std::size_t max_entries,
-                         std::string legacy_file)
+ResultStore::ResultStore(std::string dir, std::size_t max_entries)
     : dir_(std::move(dir)), maxEntries_(max_entries)
 {
     if (maxEntries_ == 0)
         if (const char *env = std::getenv("ACP_CACHE_MAX_ENTRIES"))
             maxEntries_ = std::strtoull(env, nullptr, 10);
     ::mkdir(dir_.c_str(), 0777); // EEXIST is the common case
+    lockFd_ = ::open((dir_ + "/lock").c_str(),
+                     O_RDWR | O_CREAT | O_CLOEXEC, 0666);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!loadIndexLocked()) {
-        // No (or stale/foreign) index: start the store fresh, then
-        // pull in any legacy flat-file archive sitting next to it.
-        writeFile(indexPath(), indexHeaderText());
-        writeFile(dataPath(), "");
-        migrateLegacyLocked(legacy_file);
+    DirLock dir_lock(lockFd_);
+    if (lockFd_ >= 0) {
+        std::string index;
+        readFile(indexPath(), index);
+        // A crash mid-append leaves a torn last record; cut it off so
+        // the next append starts a fresh line instead of fusing onto
+        // it.
+        std::size_t last_eol = index.rfind('\n');
+        std::size_t complete =
+            last_eol == std::string::npos ? 0 : last_eol + 1;
+        if (complete < index.size()) {
+            if (::truncate(indexPath().c_str(), off_t(complete)) != 0)
+                std::perror(indexPath().c_str());
+            index.resize(complete);
+        }
+        if (!replayLocked(index)) {
+            // No (or stale/foreign) index: start the store fresh.
+            writeFile(indexPath(), indexHeaderText());
+            writeFile(dataPath(), "");
+        }
     }
     // A cap that shrank since the journal was written applies now.
     evictLocked();
@@ -61,25 +115,19 @@ ResultStore::ResultStore(std::string dir, std::size_t max_entries,
         compactLocked();
 }
 
-bool
-ResultStore::loadIndexLocked()
+ResultStore::~ResultStore()
 {
-    std::FILE *f = std::fopen(indexPath().c_str(), "r");
-    if (!f)
-        return false;
-    char line[256];
-    if (!std::fgets(line, sizeof(line), f)) {
-        std::fclose(f);
-        return false; // empty file: rebuild
-    }
-    std::string header(line);
-    while (!header.empty() &&
-           (header.back() == '\n' || header.back() == '\r'))
-        header.pop_back();
-    if (header != kIndexHeader) {
-        std::fclose(f);
-        return false; // foreign/stale index: rebuild
-    }
+    if (lockFd_ >= 0)
+        ::close(lockFd_);
+}
+
+bool
+ResultStore::replayLocked(const std::string &index)
+{
+    std::size_t eol = index.find('\n');
+    if (eol == std::string::npos ||
+        index.compare(0, eol, kIndexHeader) != 0)
+        return false; // empty or foreign/stale index: rebuild
 
     // Replay the journal: live set + LRU order (front = most recent).
     struct Span
@@ -89,13 +137,17 @@ ResultStore::loadIndexLocked()
         std::list<std::string>::iterator lruIt;
     };
     std::unordered_map<std::string, Span> spans;
-    while (std::fgets(line, sizeof(line), f)) {
-        if (line[0] == '#')
+    for (std::size_t pos = eol + 1; pos < index.size(); pos = eol + 1) {
+        eol = index.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = index.size();
+        std::string line = index.substr(pos, eol - pos);
+        if (line.empty() || line[0] == '#')
             continue;
         char op[8], digest[128];
         unsigned long long offset = 0, len = 0;
-        int n = std::sscanf(line, "%7s %127s %llu %llu", op, digest,
-                            &offset, &len);
+        int n = std::sscanf(line.c_str(), "%7s %127s %llu %llu", op,
+                            digest, &offset, &len);
         if (n < 2)
             continue;
         std::string key(digest);
@@ -122,73 +174,29 @@ ResultStore::loadIndexLocked()
             ++deadRecords_; // the evict record itself
         }
     }
-    std::fclose(f);
 
     // Resolve payloads. A span that cannot be read (truncated data
     // file, crashed writer) just drops its entry: the store serves
     // only what it can prove it has.
-    std::FILE *data = std::fopen(dataPath().c_str(), "r");
+    std::string data;
+    readFile(dataPath(), data);
     for (auto it = lru_.begin(); it != lru_.end();) {
         const Span &span = spans[*it];
-        std::string payload(span.len, '\0');
-        bool ok = data &&
-                  std::fseek(data, long(span.offset), SEEK_SET) == 0 &&
-                  std::fread(payload.data(), 1, span.len, data) ==
-                      span.len;
-        if (!ok) {
+        if (span.offset > data.size() ||
+            span.len > data.size() - span.offset) {
             ++deadRecords_;
             it = lru_.erase(it);
             continue;
         }
         Entry entry;
         entry.result.fromCache = true;
-        decodeResultTokens(payload, entry.result);
+        decodeResultTokens(data.substr(span.offset, span.len),
+                           entry.result);
         entry.lruIt = it;
         entries_.emplace(*it, std::move(entry));
         ++it;
     }
-    if (data)
-        std::fclose(data);
     return true;
-}
-
-void
-ResultStore::migrateLegacyLocked(const std::string &legacy_file)
-{
-    if (legacy_file.empty())
-        return;
-    std::FILE *f = std::fopen(legacy_file.c_str(), "r");
-    if (!f)
-        return;
-    std::vector<char> line(65536);
-    if (!std::fgets(line.data(), int(line.size()), f)) {
-        std::fclose(f);
-        return;
-    }
-    std::string header(line.data());
-    while (!header.empty() &&
-           (header.back() == '\n' || header.back() == '\r'))
-        header.pop_back();
-    if (header != kLegacyHeader) {
-        std::fclose(f);
-        return; // pre-v6 archives were never servable; leave them be
-    }
-    migratedLegacy_ = true;
-    while (std::fgets(line.data(), int(line.size()), f)) {
-        if (line[0] == '#')
-            continue;
-        std::string text(line.data());
-        std::size_t space = text.find(' ');
-        if (space == std::string::npos || space != 64)
-            continue;
-        std::string digest = text.substr(0, space);
-        Result result;
-        result.fromCache = true;
-        decodeResultTokens(text.substr(space + 1), result);
-        insertLocked(digest, result);
-    }
-    std::fclose(f);
-    evictLocked();
 }
 
 bool
@@ -202,7 +210,10 @@ ResultStore::lookup(const std::string &digest, Result &out)
     }
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-    appendIndexLocked("touch " + digest);
+    {
+        DirLock dir_lock(lockFd_);
+        appendIndexLocked("touch " + digest);
+    }
     out = it->second.result;
     out.fromCache = true;
     return true;
@@ -212,6 +223,7 @@ void
 ResultStore::put(const std::string &digest, const Result &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    DirLock dir_lock(lockFd_);
     ++stats_.stores;
     insertLocked(digest, result);
     evictLocked();
@@ -223,12 +235,13 @@ ResultStore::insertLocked(const std::string &digest,
 {
     std::string payload = encodeResultTokens(result);
     std::uint64_t offset = 0;
-    if (!appendDataLocked(payload, offset))
-        return; // unwritable store: serve from memory only
-    char span[64];
-    std::snprintf(span, sizeof(span), " %llu %zu",
-                  (unsigned long long)offset, payload.size());
-    appendIndexLocked("put " + digest + span);
+    // An unwritable store still serves the entry from memory.
+    if (appendDataLocked(payload, offset)) {
+        char span[64];
+        std::snprintf(span, sizeof(span), " %llu %zu",
+                      (unsigned long long)offset, payload.size());
+        appendIndexLocked("put " + digest + span);
+    }
 
     auto it = entries_.find(digest);
     if (it != entries_.end()) {
@@ -295,6 +308,8 @@ ResultStore::compactLocked()
 bool
 ResultStore::appendIndexLocked(const std::string &line)
 {
+    if (lockFd_ < 0)
+        return false;
     std::FILE *f = std::fopen(indexPath().c_str(), "a");
     if (!f)
         return false;
@@ -307,9 +322,13 @@ bool
 ResultStore::appendDataLocked(const std::string &payload,
                               std::uint64_t &offset)
 {
+    if (lockFd_ < 0)
+        return false;
     std::FILE *f = std::fopen(dataPath().c_str(), "a");
     if (!f)
         return false;
+    // The caller holds the directory lock, so no other process can
+    // append between this offset read and the write below.
     std::fseek(f, 0, SEEK_END);
     long at = std::ftell(f);
     if (at < 0) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Content-addressed, persistently-LRU-bounded result store — the one
- * result backend behind exp::submit and the acpsimd daemon.
+ * result backend behind exp::submit.
  *
  * Layout (a directory, ./acp_store by default):
  *
@@ -12,6 +12,7 @@
  *                     evict <digest>
  *   <dir>/data.txt    one result_codec payload line per put, at the
  *                     recorded byte offset/length
+ *   <dir>/lock        empty; flock()ed to serialize processes
  *
  * The index is an append-only journal: replaying it reconstructs both
  * the live entry set and the LRU order (put/touch move an entry to
@@ -25,13 +26,22 @@
  *
  * Results are keyed on pointDigest() alone: SHA-256 over the complete
  * serialized SimConfig plus workload identity and window, so every
- * configuration knob participates in the key and a daemon-side store
- * hit is exactly the result the client would have computed locally.
+ * configuration knob participates in the key.
  *
- * Legacy migration: opening a directory with no index.txt imports a
- * sibling acp-cache-v6 flat file (the pre-store format, named by
- * @p legacy_file) if one exists, so existing result archives keep
- * their value. Pre-v6 files are ignored, as before.
+ * Sharing across processes: any number of processes (and ResultStore
+ * instances) may use one directory at once. Each instance opens
+ * <dir>/lock once and holds flock(LOCK_EX) on it
+ *   - for the whole open: torn-tail repair, replay, fresh
+ *     initialisation and compaction;
+ *   - for each put: the data append, the read of its offset and the
+ *     index append (plus any evict records the cap triggers);
+ *   - for each touch record a lookup hit appends.
+ * Lookups are served from the in-memory replay, so another process's
+ * puts become visible at this instance's next open. A crash can leave
+ * the last index record cut mid-line; open truncates index.txt back
+ * to its last newline, so the next append starts on a fresh line.
+ * When the lock file cannot be created (unwritable directory) the
+ * store serves from memory only and touches no file.
  */
 
 #ifndef ACP_EXP_RESULT_STORE_HH
@@ -48,16 +58,15 @@
 namespace acp::exp
 {
 
-/** The persistent store. All methods are thread-safe. */
+/** The persistent store. All methods are thread-safe, and instances
+ *  in several processes may share one directory (see file comment). */
 class ResultStore
 {
   public:
     static constexpr const char *kIndexHeader = "acp-store-v1";
-    /** Header of the pre-store flat-file format (migration source). */
-    static constexpr const char *kLegacyHeader = "acp-cache-v6";
 
     /** Lifetime telemetry of one store instance (sweep JSON
-     *  "telemetry" block, acp-rpc-v1 done/stats frames). */
+     *  "telemetry" block). */
     struct Stats
     {
         std::uint64_t hits = 0;
@@ -71,8 +80,11 @@ class ResultStore
      * its index. @p max_entries bounds the live entry count with LRU
      * eviction; 0 reads ACP_CACHE_MAX_ENTRIES (0/unset = unlimited).
      */
-    explicit ResultStore(std::string dir, std::size_t max_entries = 0,
-                         std::string legacy_file = "acp_bench_cache.txt");
+    explicit ResultStore(std::string dir, std::size_t max_entries = 0);
+    ~ResultStore();
+
+    ResultStore(const ResultStore &) = delete;
+    ResultStore &operator=(const ResultStore &) = delete;
 
     /** Look up a digest; fills @p out (fromCache=true) on a hit and
      *  journals the recency touch. */
@@ -84,9 +96,6 @@ class ResultStore
 
     /** Live (resident and servable) entry count. */
     std::size_t size() const;
-
-    /** True when a legacy flat file was imported at open. */
-    bool migratedLegacy() const { return migratedLegacy_; }
 
     const std::string &dir() const { return dir_; }
 
@@ -104,8 +113,9 @@ class ResultStore
     std::string indexPath() const { return dir_ + "/index.txt"; }
     std::string dataPath() const { return dir_ + "/data.txt"; }
 
-    bool loadIndexLocked();
-    void migrateLegacyLocked(const std::string &legacy_file);
+    /** Replay @p index (the whole journal text); false when it is
+     *  empty or foreign and the store must start fresh. */
+    bool replayLocked(const std::string &index);
     void compactLocked();
     bool appendIndexLocked(const std::string &line);
     /** Append one payload line to data.txt; false on I/O failure. */
@@ -115,7 +125,8 @@ class ResultStore
     void evictLocked();
 
     std::string dir_;
-    bool migratedLegacy_ = false;
+    /** <dir>/lock, open for the instance's lifetime; -1 = memory only. */
+    int lockFd_ = -1;
     /** Journal records that no longer describe a live entry. */
     std::size_t deadRecords_ = 0;
     /** Live-entry cap (ACP_CACHE_MAX_ENTRIES env; 0 = unlimited). */

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -168,8 +167,6 @@ class ProgressReporter
     std::mutex mutex_;
 };
 
-Submission submitLocal(const Request &req, Sink *sink);
-
 } // namespace
 
 unsigned
@@ -263,11 +260,8 @@ simulatePoint(const Point &point,
     return result;
 }
 
-namespace
-{
-
 Submission
-submitLocal(const Request &req, Sink *sink)
+submit(const Request &req, Sink *sink)
 {
     auto sweep_start = std::chrono::steady_clock::now();
 
@@ -400,19 +394,6 @@ submitLocal(const Request &req, Sink *sink)
                                 sub.telemetry.wallSeconds, cache_tail);
     }
     return sub;
-}
-
-} // namespace
-
-Submission
-submit(const Request &req, Sink *sink)
-{
-    if (!req.connect.empty())
-        return submitRemote(req, req.connect, sink);
-    if (const char *env = std::getenv("ACP_CONNECT"))
-        if (env[0] != '\0' && remoteEligible(req))
-            return submitRemote(req, env, sink);
-    return submitLocal(req, sink);
 }
 
 void

@@ -95,11 +95,6 @@ Heartbeat::open(const std::string &spec)
 
 Heartbeat::Heartbeat(std::FILE *out, bool own) : out_(out), own_(own) {}
 
-Heartbeat::Heartbeat(LineFn fn)
-    : out_(nullptr), own_(false), fn_(std::move(fn))
-{
-}
-
 Heartbeat::~Heartbeat()
 {
     if (own_ && out_)
@@ -120,10 +115,6 @@ void
 Heartbeat::emit(const std::string &line)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (fn_) {
-        fn_(line);
-        return;
-    }
     std::fputs(line.c_str(), out_);
     std::fputc('\n', out_);
     std::fflush(out_);

@@ -3,15 +3,21 @@
  * Tests for the content-addressed result store (exp::ResultStore):
  * payload round-trip through the codec, journal replay reconstructing
  * LRU order across reopen, persistent eviction under the
- * ACP_CACHE_MAX_ENTRIES cap, legacy acp-cache-v6 migration, and
- * journal compaction keeping every live entry servable.
+ * ACP_CACHE_MAX_ENTRIES cap, journal compaction keeping every live
+ * entry servable, torn-record repair, memory-only fallback, and
+ * several processes writing one store at once.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "exp/result_codec.hh"
@@ -22,7 +28,7 @@ using namespace acp;
 namespace
 {
 
-/** RAII scratch store directory (plus optional legacy file). */
+/** RAII scratch store directory. */
 class ScratchStore
 {
   public:
@@ -36,6 +42,7 @@ class ScratchStore
     {
         std::remove((path_ + "/index.txt").c_str());
         std::remove((path_ + "/data.txt").c_str());
+        std::remove((path_ + "/lock").c_str());
         ::rmdir(path_.c_str());
     }
     std::string path_;
@@ -155,54 +162,6 @@ TEST(ResultStore, EvictionIsJournaledNotJustInMemory)
     EXPECT_TRUE(reopened.lookup(digestOf('b'), out));
 }
 
-TEST(ResultStore, MigratesLegacyV6File)
-{
-    ScratchStore dir("test_store_migrate");
-    const char *legacy = "test_store_legacy_cache.txt";
-    std::remove(legacy);
-    {
-        std::FILE *f = std::fopen(legacy, "w");
-        ASSERT_NE(f, nullptr);
-        std::fprintf(f, "%s\n", exp::ResultStore::kLegacyHeader);
-        std::fprintf(f, "# {\"schema\": \"acp-manifest-v1\"}\n");
-        std::fprintf(f, "%s %s\n", digestOf('a').c_str(),
-                     exp::encodeResultTokens(sampleResult(1234)).c_str());
-        std::fprintf(f, "not-a-digest bogus line\n");
-        std::fclose(f);
-    }
-
-    exp::ResultStore store(dir.path(), 0, legacy);
-    EXPECT_TRUE(store.migratedLegacy());
-    EXPECT_EQ(store.size(), 1u);
-    exp::Result out;
-    ASSERT_TRUE(store.lookup(digestOf('a'), out));
-    EXPECT_EQ(out.run.insts, 1234u);
-
-    // Migration is one-shot: the imported entries now live in the
-    // store's own files and survive without the legacy file.
-    std::remove(legacy);
-    exp::ResultStore reopened(dir.path(), 0, legacy);
-    EXPECT_FALSE(reopened.migratedLegacy());
-    EXPECT_EQ(reopened.size(), 1u);
-}
-
-TEST(ResultStore, StaleLegacyFormatIsIgnored)
-{
-    ScratchStore dir("test_store_stale");
-    const char *legacy = "test_store_stale_cache.txt";
-    std::remove(legacy);
-    {
-        std::FILE *f = std::fopen(legacy, "w");
-        ASSERT_NE(f, nullptr);
-        std::fprintf(f, "mcf|pol0|l2_262144|ruu128_64=9.999\n");
-        std::fclose(f);
-    }
-    exp::ResultStore store(dir.path(), 0, legacy);
-    EXPECT_FALSE(store.migratedLegacy());
-    EXPECT_EQ(store.size(), 0u);
-    std::remove(legacy);
-}
-
 TEST(ResultStore, CompactionKeepsEveryLiveEntry)
 {
     ScratchStore dir("test_store_compact");
@@ -232,6 +191,162 @@ TEST(ResultStore, CompactionKeepsEveryLiveEntry)
             ++lines;
     std::fclose(f);
     EXPECT_LT(lines, 26);
+}
+
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r");
+    std::vector<std::string> lines;
+    if (!f)
+        return lines;
+    std::string line;
+    for (int ch; (ch = std::fgetc(f)) != EOF;) {
+        if (ch != '\n') {
+            line += char(ch);
+            continue;
+        }
+        lines.push_back(line);
+        line.clear();
+    }
+    if (!line.empty())
+        lines.push_back(line); // unterminated last record
+    std::fclose(f);
+    return lines;
+}
+
+TEST(ResultStore, TornIndexRecordIsCutOnOpen)
+{
+    ScratchStore dir("test_store_torn");
+    {
+        exp::ResultStore store(dir.path());
+        store.put(digestOf('a'), sampleResult(1));
+        store.put(digestOf('b'), sampleResult(2));
+        store.put(digestOf('c'), sampleResult(3));
+    }
+    // A crash in the middle of the last index append.
+    const std::string index = dir.path() + "/index.txt";
+    struct stat st;
+    ASSERT_EQ(::stat(index.c_str(), &st), 0);
+    ASSERT_EQ(::truncate(index.c_str(), st.st_size - 10), 0);
+    {
+        exp::ResultStore store(dir.path());
+        EXPECT_EQ(store.size(), 2u);
+        store.put(digestOf('d'), sampleResult(4));
+    }
+    exp::ResultStore reopened(dir.path());
+    EXPECT_EQ(reopened.size(), 3u);
+    exp::Result out;
+    EXPECT_TRUE(reopened.lookup(digestOf('a'), out));
+    EXPECT_TRUE(reopened.lookup(digestOf('b'), out));
+    EXPECT_FALSE(reopened.lookup(digestOf('c'), out));
+    ASSERT_TRUE(reopened.lookup(digestOf('d'), out));
+    EXPECT_EQ(out.run.insts, 4u);
+
+    // Every journal line is a complete record, never two fused ones.
+    std::vector<std::string> lines = readLines(index);
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(lines[0], exp::ResultStore::kIndexHeader);
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        if (lines[i].rfind("#", 0) == 0)
+            continue;
+        std::istringstream fields(lines[i]);
+        std::vector<std::string> tokens;
+        for (std::string tok; fields >> tok;)
+            tokens.push_back(tok);
+        ASSERT_GE(tokens.size(), 2u) << lines[i];
+        EXPECT_EQ(tokens[1].size(), 64u) << lines[i];
+        if (tokens[0] == "put")
+            EXPECT_EQ(tokens.size(), 4u) << lines[i];
+        else
+            EXPECT_TRUE((tokens[0] == "touch" || tokens[0] == "evict") &&
+                        tokens.size() == 2)
+                << lines[i];
+    }
+}
+
+TEST(ResultStore, UnwritableDirectoryServesFromMemory)
+{
+    // A regular file where the store's parent directory should be:
+    // neither the directory nor its lock file can be created.
+    const char *blocker = "test_store_blocker";
+    std::FILE *f = std::fopen(blocker, "w");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+    {
+        exp::ResultStore store(std::string(blocker) + "/store");
+        store.put(digestOf('a'), sampleResult(7));
+        EXPECT_EQ(store.size(), 1u);
+        exp::Result out;
+        ASSERT_TRUE(store.lookup(digestOf('a'), out));
+        EXPECT_EQ(out.run.insts, 7u);
+    }
+    std::remove(blocker);
+}
+
+/** Distinct digest and payload id of writer @p w's @p i-th put. */
+std::string
+writerDigest(int w, int i)
+{
+    char buf[65];
+    std::snprintf(buf, sizeof(buf), "%08x%056x", unsigned(w),
+                  unsigned(i));
+    return buf;
+}
+
+std::uint64_t
+writerPayload(int w, int i)
+{
+    return std::uint64_t(w) * 100000 + std::uint64_t(i) + 1;
+}
+
+TEST(ResultStore, ConcurrentProcessesKeepEveryEntry)
+{
+    constexpr int kWriters = 4;
+    constexpr int kPuts = 400;
+    ScratchStore dir("test_store_processes");
+
+    // Writers block on the pipe until all are forked, then race.
+    int gate[2];
+    ASSERT_EQ(::pipe(gate), 0);
+    std::vector<pid_t> writers;
+    for (int w = 0; w < kWriters; ++w) {
+        pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::close(gate[1]);
+            char byte;
+            (void)!::read(gate[0], &byte, 1);
+            exp::ResultStore store(dir.path());
+            for (int i = 0; i < kPuts; ++i)
+                store.put(writerDigest(w, i),
+                          sampleResult(writerPayload(w, i)));
+            std::_Exit(0);
+        }
+        writers.push_back(pid);
+    }
+    ::close(gate[0]);
+    ::close(gate[1]);
+    for (pid_t pid : writers) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+
+    exp::ResultStore reopened(dir.path());
+    EXPECT_EQ(reopened.size(), std::size_t(kWriters * kPuts));
+    for (int w = 0; w < kWriters; ++w) {
+        for (int i = 0; i < kPuts; ++i) {
+            exp::Result out;
+            ASSERT_TRUE(reopened.lookup(writerDigest(w, i), out))
+                << "writer " << w << " put " << i;
+            EXPECT_EQ(exp::encodeResultTokens(out),
+                      exp::encodeResultTokens(
+                          sampleResult(writerPayload(w, i))))
+                << "writer " << w << " put " << i
+                << " decodes to another point's payload";
+        }
+    }
 }
 
 } // namespace

@@ -100,6 +100,7 @@ class ScratchStore
     {
         std::remove((path_ + "/index.txt").c_str());
         std::remove((path_ + "/data.txt").c_str());
+        std::remove((path_ + "/lock").c_str());
         ::rmdir(path_.c_str());
     }
     std::string path_;
