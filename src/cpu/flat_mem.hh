@@ -9,7 +9,9 @@
 #ifndef ACP_CPU_FLAT_MEM_HH
 #define ACP_CPU_FLAT_MEM_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -55,24 +57,48 @@ class FlatMem
         for (std::size_t i = 0; i < prog.code.size(); ++i)
             write(prog.codeBase + 4 * i, 4, prog.code[i]);
         for (const isa::DataSegment &seg : prog.data)
-            for (std::size_t i = 0; i < seg.bytes.size(); ++i)
-                write(seg.base + i, 1, seg.bytes[i]);
+            copyIn(seg.base, seg.bytes.data(), seg.bytes.size());
     }
 
   private:
     static constexpr unsigned kPageShift = 12;
     static constexpr std::uint64_t kPageBytes = 1ULL << kPageShift;
 
+    /** The zero-filled page holding @p addr, created on first use. */
+    std::vector<std::uint8_t> &
+    pageAt(Addr addr)
+    {
+        auto [it, fresh] = pages_.try_emplace(addr >> kPageShift);
+        if (fresh)
+            it->second.resize(kPageBytes, 0);
+        return it->second;
+    }
+
     std::uint8_t &
     byteAt(Addr addr)
     {
-        Addr page = addr >> kPageShift;
-        auto it = pages_.find(page);
-        if (it == pages_.end())
-            it = pages_.emplace(page,
-                                std::vector<std::uint8_t>(kPageBytes, 0))
-                     .first;
-        return it->second[addr & (kPageBytes - 1)];
+        return pageAt(addr)[addr & (kPageBytes - 1)];
+    }
+
+    /**
+     * Same bytes as write(base + i, 1, bytes[i]) for every i, one
+     * memcpy per page run: a run ends at a page boundary or where the
+     * address wraps at the memory size.
+     */
+    void
+    copyIn(Addr base, const std::uint8_t *bytes, std::size_t len)
+    {
+        std::size_t done = 0;
+        while (done < len) {
+            Addr addr = (base + done) & sizeMask_;
+            std::uint64_t off = addr & (kPageBytes - 1);
+            std::uint64_t run = std::min<std::uint64_t>(len - done,
+                                                        kPageBytes - off);
+            if (sizeMask_ - addr < run)
+                run = sizeMask_ - addr + 1;
+            std::memcpy(pageAt(addr).data() + off, bytes + done, run);
+            done += run;
+        }
     }
 
     std::uint64_t sizeMask_;

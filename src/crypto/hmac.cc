@@ -15,23 +15,25 @@ HmacSha256::HmacSha256(const std::uint8_t *key, std::size_t key_len)
     } else {
         std::memcpy(k0, key, key_len);
     }
+    std::uint8_t ipad_key[64];
+    std::uint8_t opad_key[64];
     for (int i = 0; i < 64; ++i) {
-        ipadKey_[i] = std::uint8_t(k0[i] ^ 0x36);
-        opadKey_[i] = std::uint8_t(k0[i] ^ 0x5c);
+        ipad_key[i] = std::uint8_t(k0[i] ^ 0x36);
+        opad_key[i] = std::uint8_t(k0[i] ^ 0x5c);
     }
+    inner_.update(ipad_key, sizeof(ipad_key));
+    outer_.update(opad_key, sizeof(opad_key));
 }
 
 std::array<std::uint8_t, kSha256DigestBytes>
 HmacSha256::mac(const std::uint8_t *data, std::size_t len) const
 {
-    Sha256 inner;
-    inner.update(ipadKey_.data(), ipadKey_.size());
+    Sha256 inner = inner_;
     inner.update(data, len);
     std::uint8_t inner_digest[kSha256DigestBytes];
     inner.final(inner_digest);
 
-    Sha256 outer;
-    outer.update(opadKey_.data(), opadKey_.size());
+    Sha256 outer = outer_;
     outer.update(inner_digest, sizeof(inner_digest));
     std::array<std::uint8_t, kSha256DigestBytes> out;
     outer.final(out.data());

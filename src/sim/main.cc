@@ -109,8 +109,8 @@ usage()
         "                window (Perfetto-loadable; single-point only)\n"
         "  --trace-commits N  print a commit trace of the first N\n"
         "                insts (single-point runs only)\n"
-        "  --cosim       co-simulate against the functional reference\n"
-        "                (single-point runs only)\n\n"
+        "  --cosim       co-simulate every point against the\n"
+        "                functional reference\n\n"
         "  --version     print the build manifest (git SHA, build\n"
         "                type, compiler, sanitizers) and exit\n");
 }
@@ -357,21 +357,24 @@ main(int argc, char **argv)
 
     if (trace_commits > 0 || cosim || !trace_file.empty()) {
         // Tracing hooks into the live System between warmup and the
-        // timed window; the hooks make the point uncacheable.
+        // timed window; the hooks make the point uncacheable. Traces
+        // describe one point; co-simulation checks every point.
         std::string path = trace_file;
         req.decorate = [trace_commits, cosim,
                         path](std::vector<exp::Point> &points) {
-            if (points.size() > 1)
-                acp_fatal("--trace/--trace-commits/--cosim need a "
-                          "single workload and policy");
+            if ((trace_commits > 0 || !path.empty()) && points.size() > 1)
+                acp_fatal("--trace/--trace-commits need a single "
+                          "workload and policy");
             if (trace_commits > 0 || cosim) {
-                points[0].prepare = [trace_commits,
+                for (exp::Point &point : points)
+                    point.prepare = [trace_commits,
                                      cosim](sim::System &system) {
-                    if (cosim)
-                        system.enableCosim();
-                    if (trace_commits > 0)
-                        system.core().traceCommits(stdout, trace_commits);
-                };
+                        if (cosim)
+                            system.enableCosim();
+                        if (trace_commits > 0)
+                            system.core().traceCommits(stdout,
+                                                       trace_commits);
+                    };
                 // enableCosim must be armed before the timed core
                 // exists; the prepare hook runs right after
                 // fastForward, which is early enough (the core is

@@ -168,3 +168,36 @@ TEST(FuncExecutor, X0AlwaysZero)
     EXPECT_EQ(m.exec->reg(0), 0u);
     EXPECT_EQ(m.exec->reg(2), 0u);
 }
+
+/** Page-run loading lays out bytes exactly as byte-wise writes do. */
+TEST(FlatMem, LoadProgramMatchesByteWrites)
+{
+    // 64 KiB wraps at a page boundary; 1 KiB wraps inside a page.
+    for (std::uint64_t size : {std::uint64_t(1) << 16, std::uint64_t(1024)}) {
+        ProgramBuilder pb(0x0ff8, "image"); // code straddles a page edge
+        for (int i = 0; i < 5; ++i)
+            pb.addi(5, 5, i);
+        pb.halt();
+        std::vector<std::uint8_t> big(3 * 4096 + 77);
+        for (std::size_t i = 0; i < big.size(); ++i)
+            big[i] = std::uint8_t(i * 13 + 5);
+        pb.addData(0x2010, big);
+        std::vector<std::uint8_t> wrap(300, 0xa5);
+        pb.addData(size - 100, wrap); // runs off the end, wraps to 0
+        Program prog = pb.finish();
+
+        FlatMem paged(size);
+        paged.loadProgram(prog);
+        FlatMem bytewise(size);
+        for (std::size_t i = 0; i < prog.code.size(); ++i)
+            bytewise.write(prog.codeBase + 4 * i, 4, prog.code[i]);
+        for (const DataSegment &seg : prog.data)
+            for (std::size_t i = 0; i < seg.bytes.size(); ++i)
+                bytewise.write(seg.base + i, 1, seg.bytes[i]);
+
+        for (Addr a = 0; a < size; a += 8)
+            ASSERT_EQ(paged.read(a, 8), bytewise.read(a, 8))
+                << "size " << size << " addr " << a;
+        EXPECT_EQ(paged.read(199, 1), 0xa5u) << size;
+    }
+}

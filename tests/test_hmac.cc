@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -138,4 +139,66 @@ TEST(Hmac, KeySensitivity)
         HmacSha256 h1(k1, sizeof(k1)), h2(k2, sizeof(k2));
         EXPECT_NE(h1.mac64(msg, sizeof(msg)), h2.mac64(msg, sizeof(msg)));
     }
+}
+
+namespace
+{
+
+/** Textbook two-pass HMAC (RFC 2104) over a fresh Sha256 per pass. */
+std::array<std::uint8_t, kSha256DigestBytes>
+referenceHmac(const std::vector<std::uint8_t> &key,
+              const std::vector<std::uint8_t> &msg)
+{
+    std::uint8_t k0[64] = {0};
+    if (key.size() > 64) {
+        auto digest = Sha256::digest(key.data(), key.size());
+        std::memcpy(k0, digest.data(), digest.size());
+    } else if (!key.empty()) {
+        std::memcpy(k0, key.data(), key.size());
+    }
+    std::vector<std::uint8_t> inner(64);
+    std::vector<std::uint8_t> outer(64);
+    for (int i = 0; i < 64; ++i) {
+        inner[i] = std::uint8_t(k0[i] ^ 0x36);
+        outer[i] = std::uint8_t(k0[i] ^ 0x5c);
+    }
+    inner.insert(inner.end(), msg.begin(), msg.end());
+    auto inner_digest = Sha256::digest(inner.data(), inner.size());
+    outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+    return Sha256::digest(outer.data(), outer.size());
+}
+
+} // namespace
+
+/** The absorbed-key contexts give the two-pass construction's MAC. */
+TEST(Hmac, MatchesTwoPassReference)
+{
+    Rng rng(2104);
+    for (std::size_t key_len : {1u, 16u, 32u, 63u, 64u, 65u, 100u, 131u}) {
+        std::vector<std::uint8_t> key(key_len);
+        for (auto &byte : key)
+            byte = std::uint8_t(rng.next());
+        HmacSha256 hmac(key.data(), key.size());
+        for (std::size_t len = 0; len <= 200; ++len) {
+            std::vector<std::uint8_t> msg(len);
+            for (auto &byte : msg)
+                byte = std::uint8_t(rng.next());
+            auto got = hmac.mac(msg.data(), msg.size());
+            auto want = referenceHmac(key, msg);
+            ASSERT_EQ(hex(got.data(), got.size()),
+                      hex(want.data(), want.size()))
+                << "key_len " << key_len << " len " << len;
+        }
+    }
+}
+
+/** The precomputed state is not consumed: repeated MACs agree. */
+TEST(Hmac, RepeatedMacsAgree)
+{
+    std::vector<std::uint8_t> key(16, 0x5a);
+    HmacSha256 hmac(key.data(), key.size());
+    std::uint8_t msg[80] = {1, 2, 3};
+    std::uint64_t first = hmac.mac64(msg, sizeof(msg));
+    hmac.mac64(msg, 7);
+    EXPECT_EQ(hmac.mac64(msg, sizeof(msg)), first);
 }

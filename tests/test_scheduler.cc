@@ -187,6 +187,39 @@ TEST(Scheduler, EarlierWakeWins)
     EXPECT_EQ(log[0], std::make_pair(std::string("a"), Cycle(10)));
 }
 
+/** Misuse ends in fatal: naming the component, not in a bad vararg. */
+TEST(Scheduler, MisuseIsFatalAndNamesTheComponent)
+{
+    std::vector<std::pair<std::string, Cycle>> log;
+    EXPECT_EXIT(
+        {
+            MockComponent lone("lone-component", &log);
+            lone.wakeAt(3);
+        },
+        ::testing::ExitedWithCode(1),
+        "component 'lone-component' not attached");
+    EXPECT_EXIT(
+        {
+            sim::Scheduler sched;
+            MockComponent twice("twice-component", &log);
+            sched.attach(twice);
+            sched.attach(twice);
+        },
+        ::testing::ExitedWithCode(1),
+        "component 'twice-component' attached twice");
+    EXPECT_EXIT(
+        {
+            sim::Scheduler sched;
+            MockComponent stuck("stuck-component", &log);
+            sched.attach(stuck);
+            stuck.rearms = {4};
+            stuck.wakeAt(4);
+            sched.run();
+        },
+        ::testing::ExitedWithCode(1),
+        "component 'stuck-component' asked to wake at 4 from 4");
+}
+
 TEST(Scheduler, TxnArenaNeverLeaks)
 {
     const std::uint64_t live0 = mem::txnArenaStats().live;
