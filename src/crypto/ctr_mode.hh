@@ -48,9 +48,12 @@ class CtrModeEngine
     void genPad(Addr addr, std::uint64_t counter, std::uint8_t *pad,
                 std::size_t line_bytes) const;
 
+    /** Largest line transcode() accepts (its pad lives on the stack). */
+    static constexpr std::size_t kMaxLineBytes = 256;
+
     /**
      * Encrypt (== decrypt) a line in counter mode: out = in XOR pad.
-     * in and out may alias.
+     * in and out may alias; @p line_bytes is at most kMaxLineBytes.
      */
     void transcode(Addr addr, std::uint64_t counter, const std::uint8_t *in,
                    std::uint8_t *out, std::size_t line_bytes) const;

@@ -49,6 +49,14 @@ TEST_F(CtrModeTest, RoundTrip)
     EXPECT_EQ(0, std::memcmp(pt, back, sizeof(pt)));
 }
 
+TEST_F(CtrModeTest, OversizedLineIsFatal)
+{
+    std::vector<std::uint8_t> line(CtrModeEngine::kMaxLineBytes + 16);
+    EXPECT_DEATH(engine_->transcode(0x10000, 0, line.data(), line.data(),
+                                    line.size()),
+                 "line size 272 over 256");
+}
+
 TEST_F(CtrModeTest, PadDependsOnAddress)
 {
     std::uint8_t pad_a[64], pad_b[64];
