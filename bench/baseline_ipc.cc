@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "exp/submit.hh"
 #include "obs/manifest.hh"
 #include "obs/path_profiler.hh"
 
@@ -85,6 +86,9 @@ main(int argc, char **argv)
                  (unsigned long long)bench::warmupInsts());
     std::fprintf(out, "  \"workingSetBytes\": %llu,\n",
                  (unsigned long long)bench::workingSetBytes());
+    // Worker threads of the recording: per-point wall time depends on
+    // it, so tools/bench_diff.py prints it next to the wall-clock ratio.
+    std::fprintf(out, "  \"jobs\": %u,\n", exp::defaultJobs());
     std::fprintf(out, "  \"points\": [");
 
     double wall_total = 0.0;

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "exp/submit.hh"
 #include "obs/manifest.hh"
 
 using namespace acp;
@@ -81,6 +82,9 @@ main(int argc, char **argv)
                  (unsigned long long)bench::warmupInsts());
     std::fprintf(out, "  \"workingSetBytes\": %llu,\n",
                  (unsigned long long)bench::workingSetBytes());
+    // Worker threads of the recording: per-point wall time depends on
+    // it, so tools/bench_diff.py prints it next to the wall-clock ratio.
+    std::fprintf(out, "  \"jobs\": %u,\n", exp::defaultJobs());
     std::fprintf(out, "  \"points\": [");
 
     double wall_total = 0.0;

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/logging.hh"
+
 namespace acp
 {
 
@@ -14,6 +16,16 @@ StatGroup::resetAll()
         avg->reset();
     for (auto &[stat_name, dist] : distributions_)
         dist->reset();
+}
+
+std::uint64_t
+StatGroup::counterValue(const std::string &stat_name) const
+{
+    for (const auto &[name, counter] : counters_)
+        if (name == stat_name)
+            return counter->value();
+    acp_fatal("stat group %s has no counter %s", name_.c_str(),
+              stat_name.c_str());
 }
 
 void

@@ -247,6 +247,10 @@ class StatGroup
     /** Feed every registered statistic to @p visitor, typed. */
     void visit(StatVisitor &visitor) const;
 
+    /** Value of the counter registered as @p stat_name (no group
+     *  prefix); fatal when there is none. */
+    std::uint64_t counterValue(const std::string &stat_name) const;
+
     const std::string &name() const { return name_; }
 
   private:

@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.hh"
 #include "core/auth_policy.hh"
@@ -31,13 +32,34 @@ stopReasonName(StopReason reason)
 /** Cycles without a commit before the no-progress panic fires. */
 constexpr Cycle kProgressPanicCycles = 1000000;
 
+namespace
+{
+
+/** Per-RUU-slot bit masks (ready set, parked loads). */
+void
+setBit(std::vector<std::uint64_t> &mask, unsigned slot)
+{
+    mask[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+}
+
+void
+clearBit(std::vector<std::uint64_t> &mask, unsigned slot)
+{
+    mask[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
+}
+
+} // namespace
+
 OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
                  Addr entry, unsigned client, const std::string &name)
     : sim::Component(name), cfg_(cfg), hier_(hier), client_(client),
       policy_(hier.ctrl().policyFor(client)), bpred_(cfg), regs_(32, 0),
       regTainted_(32, false), fetchPc_(entry), ruu_(cfg.ruuSize),
-      renameMap_(32, -1), stats_(name)
+      renameMap_(32, -1), readyMask_((cfg.ruuSize + 63) / 64, 0),
+      parkedMask_((cfg.ruuSize + 63) / 64, 0), stats_(name)
 {
+    completions_.reserve(2 * cfg.ruuSize);
+    due_.reserve(cfg.ruuSize);
     stats_.addCounter("committed", &committed_);
     stats_.addCounter("fetched", &fetched_);
     stats_.addCounter("issued", &issued_);
@@ -83,6 +105,55 @@ OooCore::entryAt(unsigned pos)
     return ruu_[ruuIndex(pos)];
 }
 
+unsigned
+OooCore::ruuPos(unsigned slot) const
+{
+    return slot >= ruuHead_ ? slot - ruuHead_
+                            : slot + cfg_.ruuSize - ruuHead_;
+}
+
+unsigned
+OooCore::nextReadyPos(unsigned pos) const
+{
+    // Bits are set only for occupied slots. Walking slots upward from
+    // pos's slot walks positions upward until the ring wraps, so the
+    // lowest set bit is the next ready position, unless it maps past
+    // the occupied range (then it belongs to an older position and
+    // no ready entry is left at or after pos).
+    while (pos < ruuCount_) {
+        unsigned slot = ruuIndex(pos);
+        std::uint64_t bits = readyMask_[slot >> 6] >> (slot & 63);
+        if (bits)
+            return std::min(pos + unsigned(__builtin_ctzll(bits)),
+                            ruuCount_);
+        unsigned next = (slot | 63) + 1; // next word's first slot
+        if (next > cfg_.ruuSize)
+            next = cfg_.ruuSize; // wrap to slot 0
+        pos += next - slot;
+    }
+    return ruuCount_;
+}
+
+void
+OooCore::unparkLoads()
+{
+    for (std::size_t w = 0; w < parkedMask_.size(); ++w) {
+        readyMask_[w] |= parkedMask_[w];
+        parkedMask_[w] = 0;
+    }
+}
+
+AuthSeq
+OooCore::issueTagNow() const
+{
+    // Sample the LastRequest register at issue: the tag consulted by
+    // the write gate and the fetch gate (Section 4.2.2/4.2.4).
+    // Per-client: only requests this core posted move its tag.
+    return verifies(policy_)
+               ? hier_.ctrl().authEngine().lastArrivedBy(cycle_, client_)
+               : kNoAuthSeq;
+}
+
 bool
 OooCore::verifiedOk(AuthSeq seq) const
 {
@@ -125,7 +196,7 @@ OooCore::rebuildRenameMap()
     for (unsigned pos = 0; pos < ruuCount_; ++pos) {
         RuuEntry &entry = entryAt(pos);
         if (entry.writesRd)
-            renameMap_[entry.inst.destReg()] = int(ruuIndex(pos));
+            renameMap_[entry.dest] = int(ruuIndex(pos));
     }
 }
 
@@ -133,83 +204,91 @@ void
 OooCore::squashAfter(unsigned pos)
 {
     while (ruuCount_ > pos + 1) {
-        RuuEntry &entry = entryAt(ruuCount_ - 1);
+        unsigned slot = ruuIndex(ruuCount_ - 1);
+        RuuEntry &entry = ruu_[slot];
         if (entry.isLoad || entry.isStore)
             --lsqUsed_;
+        // Youngest first: a waiting operand's node is the head of its
+        // producer's chain (every younger registration is already
+        // gone; operand 1 registered after operand 0).
+        for (int op = 1; op >= 0; --op) {
+            if (entry.opReady[op])
+                continue;
+            RuuEntry &producer = ruu_[entry.opProducer[op]];
+            if (producer.depHead != int(slot) * 2 + op)
+                acp_panic("%s: squash found a dependent chain out of order",
+                          componentName());
+            producer.depHead = entry.depNext[op];
+        }
+        clearBit(readyMask_, slot);
+        clearBit(parkedMask_, slot);
         entry.valid = false;
         ++squashedInsts_;
         --ruuCount_;
     }
+    const RuuEntry &keep = entryAt(pos);
+    lastStore_ = keep.isStore ? int(ruuIndex(pos)) : keep.prevStore;
+    lastStoreSeq_ = keep.isStore ? keep.seq : keep.prevStoreSeq;
     rebuildRenameMap();
     fetchQueue_.clear();
 }
 
-bool
-OooCore::resolveOperand(RuuEntry &entry, int which)
+void
+OooCore::wakeDependents(RuuEntry &producer)
 {
-    bool &ready = (which == 1) ? entry.v1Ready : entry.v2Ready;
-    if (ready)
-        return true;
-    std::uint64_t &value = (which == 1) ? entry.v1 : entry.v2;
-    int prod = (which == 1) ? entry.prod1 : entry.prod2;
-    std::uint64_t prod_seq = (which == 1) ? entry.prod1Seq : entry.prod2Seq;
-    unsigned src = (which == 1) ? entry.inst.srcReg1()
-                                : entry.inst.srcReg2();
-
-    if (prod < 0) {
-        value = regs_[src];
-        entry.tainted = entry.tainted || regTainted_[src];
-        ready = true;
-        return true;
+    for (int node = producer.depHead; node >= 0;) {
+        unsigned slot = unsigned(node) >> 1;
+        unsigned op = unsigned(node) & 1;
+        RuuEntry &consumer = ruu_[slot];
+        node = consumer.depNext[op];
+        consumer.opValue[op] = producer.result;
+        consumer.tainted = consumer.tainted || producer.tainted;
+        consumer.opReady[op] = true;
+        if (consumer.opReady[0] && consumer.opReady[1])
+            setBit(readyMask_, slot);
     }
-    RuuEntry &producer = ruu_[prod];
-    if (!producer.valid || producer.seq != prod_seq) {
-        // Producer has committed: its value is architectural now.
-        value = regs_[src];
-        entry.tainted = entry.tainted || regTainted_[src];
-        ready = true;
-        return true;
-    }
-    if (producer.completed && producer.readyAt <= cycle_) {
-        value = producer.result;
-        entry.tainted = entry.tainted || producer.tainted;
-        ready = true;
-        return true;
-    }
-    return false;
+    producer.depHead = -1;
 }
 
 bool
-OooCore::tryIssueMemOp(RuuEntry &entry, unsigned pos)
+OooCore::tryIssueMemOp(RuuEntry &entry)
 {
-    unsigned bytes = isa::memAccessBytes(entry.inst.op);
-    Addr addr = entry.v1 + std::uint64_t(entry.inst.imm);
+    unsigned bytes = entry.memBytes;
+    Addr addr = entry.opValue[0] + std::uint64_t(entry.inst.imm);
     entry.memAddr = addr;
-    entry.memBytes = bytes;
 
     if (entry.isStore) {
-        entry.storeValue = entry.v2;
+        entry.issueTag = issueTagNow();
+        entry.storeValue = entry.opValue[1];
         entry.readyAt = cycle_ + 1;
         return true;
     }
 
-    // Load: memory disambiguation against older stores.
-    // Scan from the youngest older memory op to the oldest; the first
-    // overlapping store with a known address decides.
-    for (int prior = int(pos) - 1; prior >= 0; --prior) {
-        RuuEntry &older = entryAt(unsigned(prior));
-        if (!older.isStore)
-            continue;
+    // Load: memory disambiguation against older stores, walked from
+    // the youngest older store to the oldest along the prevStore
+    // chain; it ends at the first store that has committed (every
+    // older one has too). The first unissued or overlapping store
+    // decides.
+    int prior = entry.prevStore;
+    std::uint64_t prior_seq = entry.prevStoreSeq;
+    while (prior >= 0) {
+        const RuuEntry &older = ruu_[prior];
+        if (!older.valid || older.seq != prior_seq)
+            break;
         if (!older.issued)
             return false; // unknown store address: conservative stall
         Addr s_begin = older.memAddr;
         Addr s_end = older.memAddr + older.memBytes;
         Addr l_begin = addr;
         Addr l_end = addr + bytes;
-        if (l_end <= s_begin || s_end <= l_begin)
-            continue; // disjoint
+        if (l_end <= s_begin || s_end <= l_begin) {
+            prior = older.prevStore; // disjoint
+            prior_seq = older.prevStoreSeq;
+            continue;
+        }
         if (s_begin <= l_begin && l_end <= s_end) {
             // Full containment: forward from the store queue.
+            entry.issueTag = issueTagNow();
             std::uint64_t raw = older.storeValue >>
                                 (8 * (l_begin - s_begin));
             if (bytes < 8)
@@ -234,6 +313,7 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned pos)
         if (addr + bytes <= s_begin || s_end <= addr)
             continue;
         if (s_begin <= addr && addr + bytes <= s_end) {
+            entry.issueTag = issueTagNow();
             std::uint64_t raw = it->value >> (8 * (addr - s_begin));
             if (bytes < 8)
                 raw &= (1ULL << (8 * bytes)) - 1;
@@ -249,11 +329,10 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned pos)
     }
 
     // Real memory access: this is where a speculative load's address
-    // reaches the front-side bus (the side channel).
-    AuthSeq gate =
-        gatesFetch(policy_)
-            ? hier_.ctrl().authEngine().lastArrivedBy(cycle_, client_)
-            : kNoAuthSeq;
+    // reaches the front-side bus (the side channel). The fetch gate
+    // reads the same LastRequest register the issue tag samples.
+    entry.issueTag = issueTagNow();
+    AuthSeq gate = gatesFetch(policy_) ? entry.issueTag : kNoAuthSeq;
     std::uint64_t raw = 0;
     mem::Txn access = hier_.readTimed(addr, bytes, cycle_ + 1, gate, raw,
                                       entry.seq, client_);
@@ -272,12 +351,25 @@ OooCore::tryIssueMemOp(RuuEntry &entry, unsigned pos)
 void
 OooCore::stageComplete()
 {
-    for (unsigned pos = 0; pos < ruuCount_; ++pos) {
-        RuuEntry &entry = entryAt(pos);
-        if (!entry.issued || entry.completed || entry.readyAt > cycle_)
-            continue;
+    due_.clear();
+    while (!completions_.empty() && completions_.front().readyAt <= cycle_) {
+        std::pop_heap(completions_.begin(), completions_.end(),
+                      std::greater<>());
+        const Completion &c = completions_.back();
+        if (ruu_[c.slot].valid && ruu_[c.slot].seq == c.seq)
+            due_.push_back(c);
+        completions_.pop_back();
+    }
+    // Age order: the oldest mispredict squashes everything after it.
+    std::sort(due_.begin(), due_.end(),
+              [](const Completion &a, const Completion &b) {
+                  return a.seq < b.seq;
+              });
+    for (const Completion &c : due_) {
+        RuuEntry &entry = ruu_[c.slot];
         entry.completed = true;
         progress_ = true;
+        wakeDependents(entry);
 
         if (!entry.isControl)
             continue;
@@ -292,7 +384,7 @@ OooCore::stageComplete()
             entry.mispredict = true;
             ++mispredicts_;
             std::uint64_t squashed_before = squashedInsts_.value();
-            squashAfter(pos);
+            squashAfter(ruuPos(c.slot));
             ACP_TRACE(trace_, obs::TraceEventKind::kSquash, cycle_,
                       entry.pc, squashedInsts_.value() - squashed_before);
             fetchPc_ = entry.actualNext;
@@ -354,8 +446,8 @@ OooCore::stageCommit()
         }
 
         if (entry.writesRd) {
-            regs_[entry.inst.destReg()] = entry.result;
-            regTainted_[entry.inst.destReg()] = entry.tainted;
+            regs_[entry.dest] = entry.result;
+            regTainted_[entry.dest] = entry.tainted;
         }
 
         if (shadow_) {
@@ -388,8 +480,7 @@ OooCore::stageCommit()
                          (unsigned long long)entry.pc,
                          isa::disassemble(entry.inst, entry.pc).c_str());
             if (entry.writesRd)
-                std::fprintf(traceOut_, " x%u=0x%llx",
-                             entry.inst.destReg(),
+                std::fprintf(traceOut_, " x%u=0x%llx", unsigned(entry.dest),
                              (unsigned long long)entry.result);
             if (entry.isStore)
                 std::fprintf(traceOut_, " [0x%llx]<=0x%llx",
@@ -409,9 +500,8 @@ OooCore::stageCommit()
         ++commitsThisCycle_;
         lastCommitCycle_ = cycle_;
 
-        if (entry.writesRd &&
-            renameMap_[entry.inst.destReg()] == int(ruuIndex(0)))
-            renameMap_[entry.inst.destReg()] = -1;
+        if (entry.writesRd && renameMap_[entry.dest] == int(ruuHead_))
+            renameMap_[entry.dest] = -1;
         if (entry.isLoad || entry.isStore)
             --lsqUsed_;
         bool halt = entry.isHalt;
@@ -454,6 +544,7 @@ OooCore::stageStoreBufferDrain()
                          /*origin=*/0, client_);
     }
     storeBuffer_.pop_front();
+    unparkLoads(); // a partial overlap may have drained away
 }
 
 void
@@ -466,15 +557,13 @@ OooCore::stageIssue()
     unsigned fp_add = cfg_.fpAddUnits;
     unsigned fp_mul = cfg_.fpMulUnits;
 
-    for (unsigned pos = 0; pos < ruuCount_ && slots > 0; ++pos) {
-        RuuEntry &entry = entryAt(pos);
-        if (entry.issued)
-            continue;
-        if (!resolveOperand(entry, 1) || !resolveOperand(entry, 2))
-            continue;
-
-        const isa::OpInfo &oi = entry.inst.info();
-        switch (oi.fu) {
+    // Oldest first over the ready set only. A ready entry refused a
+    // unit stays ready; a load blocked by disambiguation is parked.
+    for (unsigned pos = nextReadyPos(0); pos < ruuCount_ && slots > 0;
+         pos = nextReadyPos(pos + 1)) {
+        unsigned slot = ruuIndex(pos);
+        RuuEntry &entry = ruu_[slot];
+        switch (entry.fu) {
           case isa::FuClass::kIntAlu:
             if (int_alu == 0)
                 continue;
@@ -488,7 +577,7 @@ OooCore::stageIssue()
           case isa::FuClass::kIntDiv:
             if (intDivFreeAt_ > cycle_)
                 continue;
-            intDivFreeAt_ = cycle_ + oi.latency;
+            intDivFreeAt_ = cycle_ + entry.latency;
             break;
           case isa::FuClass::kFpAdd:
             if (fp_add == 0)
@@ -503,7 +592,7 @@ OooCore::stageIssue()
           case isa::FuClass::kFpDiv:
             if (fpDivFreeAt_ > cycle_)
                 continue;
-            fpDivFreeAt_ = cycle_ + oi.latency;
+            fpDivFreeAt_ = cycle_ + entry.latency;
             break;
           case isa::FuClass::kMemPort:
             if (mem_ports == 0)
@@ -513,23 +602,19 @@ OooCore::stageIssue()
             break;
         }
 
-        // Sample the LastRequest register at issue: the tag consulted
-        // by the write gate and the fetch gate (Section 4.2.2/4.2.4).
-        // Per-client: only requests this core posted move its tag.
-        entry.issueTag =
-            verifies(policy_)
-                ? hier_.ctrl().authEngine().lastArrivedBy(cycle_, client_)
-                : kNoAuthSeq;
-
-        if (oi.fu == isa::FuClass::kMemPort) {
-            if (!tryIssueMemOp(entry, pos))
+        clearBit(readyMask_, slot);
+        if (entry.fu == isa::FuClass::kMemPort) {
+            if (!tryIssueMemOp(entry)) {
+                setBit(parkedMask_, slot);
                 continue;
+            }
             --mem_ports;
         } else {
-            isa::ExecResult res =
-                isa::execute(entry.inst, entry.v1, entry.v2, entry.pc);
+            entry.issueTag = issueTagNow();
+            isa::ExecResult res = isa::execute(entry.inst, entry.opValue[0],
+                                               entry.opValue[1], entry.pc);
             entry.result = res.value;
-            entry.readyAt = cycle_ + oi.latency;
+            entry.readyAt = cycle_ + entry.latency;
             if (entry.isControl) {
                 entry.taken = res.taken;
                 entry.actualNext = res.taken
@@ -543,6 +628,11 @@ OooCore::stageIssue()
         }
 
         entry.issued = true;
+        completions_.push_back({entry.readyAt, entry.seq, slot});
+        std::push_heap(completions_.begin(), completions_.end(),
+                      std::greater<>());
+        if (entry.isStore)
+            unparkLoads(); // its address is known now
         progress_ = true;
         ACP_TRACE(trace_, obs::TraceEventKind::kIssue, cycle_, entry.pc,
                   entry.seq);
@@ -577,6 +667,10 @@ OooCore::stageDispatch()
         entry.seq = nextSeq_++;
         entry.pc = fetched_inst.pc;
         entry.inst = fetched_inst.inst;
+        entry.fu = oi.fu;
+        entry.latency = oi.latency;
+        entry.dest = entry.inst.destReg();
+        entry.memBytes = isa::memAccessBytes(entry.inst.op);
         entry.fetchSeq = fetched_inst.fetchSeq;
         entry.tainted =
             hier_.ctrl().authEngine().requestFailed(entry.fetchSeq);
@@ -587,26 +681,40 @@ OooCore::stageDispatch()
         entry.isControl = oi.isBranch || oi.isJump;
         entry.isOut = (entry.inst.op == isa::Op::kOut);
         entry.isHalt = (entry.inst.op == isa::Op::kHalt);
-        entry.writesRd = (entry.inst.destReg() != 0);
+        entry.writesRd = (entry.dest != 0);
+        entry.prevStore = lastStore_;
+        entry.prevStoreSeq = lastStoreSeq_;
+        if (entry.isStore) {
+            lastStore_ = int(slot);
+            lastStoreSeq_ = entry.seq;
+        }
 
-        unsigned src1 = entry.inst.srcReg1();
-        unsigned src2 = entry.inst.srcReg2();
-        if (src1 != 0 && renameMap_[src1] >= 0) {
-            entry.prod1 = renameMap_[src1];
-            entry.prod1Seq = ruu_[entry.prod1].seq;
-        } else {
-            entry.v1 = regs_[src1];
-            entry.v1Ready = true;
+        // Rename: a register with no in-flight writer reads the
+        // regfile; a completed writer hands over its result; anything
+        // else waits in the writer's dependent chain.
+        const unsigned src[2] = {entry.inst.srcReg1(), entry.inst.srcReg2()};
+        for (unsigned op = 0; op < 2; ++op) {
+            int prod = src[op] != 0 ? renameMap_[src[op]] : -1;
+            if (prod < 0) {
+                entry.opValue[op] = regs_[src[op]];
+                entry.opReady[op] = true;
+                continue;
+            }
+            RuuEntry &producer = ruu_[prod];
+            if (producer.completed) {
+                entry.opValue[op] = producer.result;
+                entry.tainted = entry.tainted || producer.tainted;
+                entry.opReady[op] = true;
+                continue;
+            }
+            entry.opProducer[op] = prod;
+            entry.depNext[op] = producer.depHead;
+            producer.depHead = int(slot) * 2 + int(op);
         }
-        if (src2 != 0 && renameMap_[src2] >= 0) {
-            entry.prod2 = renameMap_[src2];
-            entry.prod2Seq = ruu_[entry.prod2].seq;
-        } else {
-            entry.v2 = regs_[src2];
-            entry.v2Ready = true;
-        }
+        if (entry.opReady[0] && entry.opReady[1])
+            setBit(readyMask_, slot);
         if (entry.writesRd)
-            renameMap_[entry.inst.destReg()] = int(slot);
+            renameMap_[entry.dest] = int(slot);
 
         ++ruuCount_;
         progress_ = true;
@@ -737,7 +845,7 @@ OooCore::accountCycle()
     }
     ruuOccupancy_.sample(ruuCount_);
     sbOccupancy_.sample(storeBuffer_.size());
-    if (recorder_)
+    if (recorder_ && cycle_ >= recorder_->nextSampleCycle())
         recorder_->tick(cycle_, committed_.value(), stallCycles());
     heartbeatSample(cycle_);
 }
@@ -802,7 +910,7 @@ OooCore::tick()
                   "(pc 0x%llx cycle %llu ruu %u commit-block %u "
                   "dispatch-block %u head{valid %d seq %llu pc 0x%llx "
                   "issued %d done %d readyAt %llu load %d store %d "
-                  "v1 %d v2 %d prod1 %d prod2 %d})",
+                  "op0 %d op1 %d prod0 %d prod1 %d})",
                   componentName(), (unsigned long long)fetchPc_,
                   (unsigned long long)cycle_, ruuCount_,
                   unsigned(commitBlock_), unsigned(dispatchBlock_),
@@ -812,8 +920,9 @@ OooCore::tick()
                   head ? head->issued : 0, head ? head->completed : 0,
                   head ? (unsigned long long)head->readyAt : 0ull,
                   head ? head->isLoad : 0, head ? head->isStore : 0,
-                  head ? head->v1Ready : 0, head ? head->v2Ready : 0,
-                  head ? head->prod1 : -2, head ? head->prod2 : -2);
+                  head ? head->opReady[0] : 0, head ? head->opReady[1] : 0,
+                  head ? head->opProducer[0] : -2,
+                  head ? head->opProducer[1] : -2);
     }
     return true;
 }
@@ -836,7 +945,7 @@ OooCore::runReason() const
 }
 
 Cycle
-OooCore::nextWakeCycle() const
+OooCore::nextWakeCycle()
 {
     // Only boundaries at or after cycle_ count: a compare whose cycle
     // has already passed is settled and cannot flip again while the
@@ -854,15 +963,21 @@ OooCore::nextWakeCycle() const
     // same cycle as under the polled loop.
     consider(lastCommitCycle_ + kProgressPanicCycles);
 
-    const secmem::AuthEngine &eng =
-        const_cast<secmem::MemHierarchy &>(hier_).ctrl().authEngine();
+    const secmem::AuthEngine &eng = hier_.ctrl().authEngine();
 
     // Pending completions (also the head-commit / operand / issue
-    // unblock events).
-    for (unsigned pos = 0; pos < ruuCount_; ++pos) {
-        const RuuEntry &entry = ruu_[ruuIndex(pos)];
-        if (entry.issued && !entry.completed)
-            consider(entry.readyAt);
+    // unblock events): the completion queue's earliest live record.
+    // This tick's stageComplete popped everything due by the tick, so
+    // every record left is due at or after cycle_.
+    while (!completions_.empty()) {
+        const Completion &top = completions_.front();
+        if (ruu_[top.slot].valid && ruu_[top.slot].seq == top.seq) {
+            consider(top.readyAt);
+            break;
+        }
+        std::pop_heap(completions_.begin(), completions_.end(),
+                      std::greater<>());
+        completions_.pop_back(); // squashed
     }
 
     if (ruuCount_ > 0) {
@@ -919,50 +1034,43 @@ OooCore::accountIdleCycles(std::uint64_t n)
     // and recorder side effects the polled loop's idle tick performs.
     // Machine state is frozen across the window (no completion, no
     // commit, no drain, no issue, no dispatch, no hierarchy access),
-    // so each cycle charges the same latched causes.
+    // so each cycle charges the same latched causes and the counts
+    // batch arithmetically.
     bool auth_commit = commitBlock_ == CommitBlock::kAuthGate;
     bool sb_full = commitBlock_ == CommitBlock::kSbFull;
     bool ruu_full = dispatchBlock_ == DispatchBlock::kRuuFull;
     bool lsq_full = dispatchBlock_ == DispatchBlock::kLsqFull;
 
-    if (recorder_) {
-        // The recorder wants its cumulative feed once per cycle.
-        for (std::uint64_t i = 0; i < n; ++i) {
-            if (auth_commit)
-                ++authCommitStalls_;
-            else if (sb_full)
-                ++sbFullStalls_;
-            ++statCycles_;
-            ++stallCounters_[unsigned(idleCause_)];
-            ruuOccupancy_.sample(ruuCount_);
-            sbOccupancy_.sample(storeBuffer_.size());
-            recorder_->tick(cycle_ + i, committed_.value(), stallCycles());
-            if (drainBlocked_)
-                ++storeReleaseStalls_;
-            if (ruu_full)
-                ++ruuFullStalls_;
-            else if (lsq_full)
-                ++lsqFullStalls_;
-        }
-        heartbeatSample(cycle_ + n);
-        return;
-    }
+    const Cycle end = cycle_ + n;
+    for (Cycle at = cycle_; at < end;) {
+        // Cut the window just after the recorder's next sample cycle,
+        // so the sample sees the totals of every cycle up to and
+        // including it, as a per-cycle feed would have shown them.
+        Cycle stop = end;
+        bool sample = recorder_ && recorder_->nextSampleCycle() < end;
+        if (sample)
+            stop = std::max(recorder_->nextSampleCycle(), at) + 1;
+        std::uint64_t k = stop - at;
 
-    if (auth_commit)
-        authCommitStalls_ += n;
-    else if (sb_full)
-        sbFullStalls_ += n;
-    statCycles_ += n;
-    stallCounters_[unsigned(idleCause_)] += n;
-    ruuOccupancy_.sample(ruuCount_, n);
-    sbOccupancy_.sample(storeBuffer_.size(), n);
-    if (drainBlocked_)
-        storeReleaseStalls_ += n;
-    if (ruu_full)
-        ruuFullStalls_ += n;
-    else if (lsq_full)
-        lsqFullStalls_ += n;
-    heartbeatSample(cycle_ + n);
+        if (auth_commit)
+            authCommitStalls_ += k;
+        else if (sb_full)
+            sbFullStalls_ += k;
+        statCycles_ += k;
+        stallCounters_[unsigned(idleCause_)] += k;
+        ruuOccupancy_.sample(ruuCount_, k);
+        sbOccupancy_.sample(storeBuffer_.size(), k);
+        if (drainBlocked_)
+            storeReleaseStalls_ += k;
+        if (ruu_full)
+            ruuFullStalls_ += k;
+        else if (lsq_full)
+            lsqFullStalls_ += k;
+        if (sample)
+            recorder_->tick(stop - 1, committed_.value(), stallCycles());
+        at = stop;
+    }
+    heartbeatSample(end);
 }
 
 Cycle

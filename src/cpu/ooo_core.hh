@@ -4,7 +4,10 @@
  * fetch/decode/issue/commit pipeline with a unified Register Update
  * Unit (ROB + reservation stations), a load/store queue with
  * store-to-load forwarding, a post-commit store(-release) buffer, and
- * speculative execution down predicted paths.
+ * speculative execution down predicted paths. Scheduling follows
+ * SimpleScalar's event and ready queues: a completion min-heap, a
+ * ready set fed by producer wakeup, and parked loads, so the work of
+ * a tick follows what issues and completes, not RUU occupancy.
  *
  * The four *authentication control points* of the paper are
  * implemented here and in the memory hierarchy:
@@ -173,12 +176,28 @@ class OooCore : public sim::Component
         std::uint64_t seq = 0; // dynamic instruction number
         Addr pc = 0;
         isa::DecodedInst inst;
+        /** Static properties cached at dispatch (isa::opInfo is a
+         *  table call the issue loop would otherwise repeat). */
+        isa::FuClass fu = isa::FuClass::kNone;
+        std::uint8_t latency = 0;
+        std::uint8_t dest = 0; // inst.destReg()
 
-        // Operand tracking: producer RUU slot + its seq, or -1.
-        int prod1 = -1, prod2 = -1;
-        std::uint64_t prod1Seq = 0, prod2Seq = 0;
-        bool v1Ready = false, v2Ready = false;
-        std::uint64_t v1 = 0, v2 = 0;
+        // Operands 0/1 (srcReg1/srcReg2). A not-ready operand waits on
+        // its producer's RUU slot and sits in that producer's
+        // dependent chain until the producer completes.
+        std::array<bool, 2> opReady{};
+        std::array<std::uint64_t, 2> opValue{};
+        std::array<int, 2> opProducer{-1, -1};
+        /** Next node of the producer's dependent chain, per operand. */
+        std::array<int, 2> depNext{-1, -1};
+        /** Head of this entry's dependent chain: node slot*2 + operand,
+         *  youngest registration first; -1 when empty. */
+        int depHead = -1;
+
+        /** Youngest store dispatched before this entry (slot + seq):
+         *  the head of its older-store chain for disambiguation. */
+        int prevStore = -1;
+        std::uint64_t prevStoreSeq = 0;
 
         bool issued = false;
         bool completed = false;
@@ -224,6 +243,23 @@ class OooCore : public sim::Component
         bool tainted = false;
     };
 
+    /** Completion-queue record: an issued entry and the cycle its
+     *  result is due. Squashed entries stay until popped and are
+     *  recognised by a slot whose seq no longer matches. */
+    struct Completion
+    {
+        Cycle readyAt;
+        std::uint64_t seq;
+        unsigned slot;
+
+        /** Heap order (with std::greater): earliest due, then oldest. */
+        bool
+        operator>(const Completion &o) const
+        {
+            return readyAt != o.readyAt ? readyAt > o.readyAt : seq > o.seq;
+        }
+    };
+
     struct FetchedInst
     {
         Addr pc = 0;
@@ -251,20 +287,22 @@ class OooCore : public sim::Component
 
     /**
      * First cycle >= cycle_ at which any stage predicate can change
-     * while the machine is idle (the ready-set / oldest-unready index):
-     * pending completions, gate verdicts, frontend restart, divider
-     * availability, engine failures, and the no-progress panic bound.
-     * Waking at extra cycles is harmless (an idle tick is replayed);
-     * missing one would diverge from the polled loop.
+     * while the machine is idle: the earliest pending completion (the
+     * completion queue's top, after dropping squashed records), gate
+     * verdicts of the RUU and store-buffer heads, frontend restart,
+     * divider availability, engine failures, and the no-progress
+     * panic bound. Waking at extra cycles is harmless (an idle tick
+     * is replayed); missing one would diverge from the polled loop.
      */
-    Cycle nextWakeCycle() const;
+    Cycle nextWakeCycle();
 
     /**
      * Account @p n skipped idle cycles exactly as the polled loop
-     * would have: per-cycle stall/occupancy bookkeeping batched
-     * arithmetically, or walked per cycle when an interval recorder
-     * needs the per-cycle feed. Machine state is frozen across the
-     * window by construction, so this is bit-identical to ticking.
+     * would have. Machine state is frozen across the window, so every
+     * per-cycle stall/occupancy bookkeeping step is batched
+     * arithmetically; the window is cut at the interval recorder's
+     * sample boundaries, and each boundary is fed the totals a
+     * per-cycle walk would have shown it. Bit-identical to ticking.
      */
     void accountIdleCycles(std::uint64_t n);
 
@@ -279,10 +317,26 @@ class OooCore : public sim::Component
     // ----- helpers ----------------------------------------------------------
     unsigned ruuIndex(unsigned pos) const; // age position -> slot
     RuuEntry &entryAt(unsigned pos);
+    /** Age position of an occupied RUU slot. */
+    unsigned ruuPos(unsigned slot) const;
     void squashAfter(unsigned pos);
     void rebuildRenameMap();
-    bool resolveOperand(RuuEntry &entry, int which);
-    bool tryIssueMemOp(RuuEntry &entry, unsigned pos);
+    /** Deliver a completed producer's value and taint to every
+     *  operand waiting on it; entries left with both operands ready
+     *  join the ready set. */
+    void wakeDependents(RuuEntry &producer);
+    /** First age position >= @p pos in the ready set (ruuCount_ when
+     *  none). Reads the mask live, so an entry readied during an
+     *  issue pass is still visited by that pass. */
+    unsigned nextReadyPos(unsigned pos) const;
+    /** Move every parked load back into the ready set (an older
+     *  store just issued, or the store buffer drained). */
+    void unparkLoads();
+    /** LastRequest tag sampled at issue (kNoAuthSeq when unverified). */
+    AuthSeq issueTagNow() const;
+    /** Issue a load or store; false when disambiguation blocks a
+     *  load (unissued older store, or a partial overlap). */
+    bool tryIssueMemOp(RuuEntry &entry);
     /** Gate predicate: completed verification that also passed. */
     bool verifiedOk(AuthSeq seq) const;
     void raiseSecurityException(bool precise);
@@ -327,6 +381,22 @@ class OooCore : public sim::Component
     std::uint64_t nextSeq_ = 1;
     std::vector<int> renameMap_; // reg -> RUU slot (-1 = regfile)
     unsigned lsqUsed_ = 0;
+    /** Youngest store in the RUU, or one that has since committed
+     *  (the seq check tells); the next dispatch's prevStore. */
+    int lastStore_ = -1;
+    std::uint64_t lastStoreSeq_ = 0;
+
+    // Scheduling structures: the work per tick follows what issues
+    // and completes, not RUU occupancy.
+    /** Min-heap on (readyAt, seq) of issued, uncompleted entries. */
+    std::vector<Completion> completions_;
+    /** Scratch: this tick's due completions, sorted into age order. */
+    std::vector<Completion> due_;
+    /** Per-slot bit: unissued with both operands ready. */
+    std::vector<std::uint64_t> readyMask_;
+    /** Per-slot bit: ready load blocked by disambiguation, waiting
+     *  for a store to issue or the store buffer to drain. */
+    std::vector<std::uint64_t> parkedMask_;
 
     std::deque<FetchedInst> fetchQueue_;
     std::deque<StoreBufEntry> storeBuffer_;

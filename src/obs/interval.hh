@@ -5,8 +5,10 @@
  * over fixed-length cycle windows, producing the IPC/stall time
  * series behind --stats-interval.
  *
- * The recorder is driven by the core with *cumulative* totals once
- * per cycle; it differentiates them into per-interval deltas. It
+ * The recorder is fed by the core with *cumulative* totals at its
+ * sample boundaries (nextSampleCycle()); it differentiates them into
+ * per-interval deltas. The core splits skipped idle windows at those
+ * boundaries, so the series matches a per-cycle feed exactly. It
  * never feeds anything back into the model, so enabling intervals
  * cannot perturb simulation results.
  */
@@ -50,6 +52,10 @@ class IntervalRecorder
     }
 
     Cycle period() const { return period_; }
+
+    /** First cycle whose tick() emits a sample: feeding only at (or
+     *  past) it is equivalent to feeding every cycle. */
+    Cycle nextSampleCycle() const { return lastCycle_ + period_; }
 
     /**
      * Advance to @p cycle with cumulative committed/stall totals;

@@ -69,7 +69,9 @@ usage()
         "  --tree        enable the CHTree integrity tree\n"
         "  --drain       drain-authen-then-fetch variant\n"
         "  --remap SIZE  re-map cache size         (default: 32K)\n"
-        "  --ws SIZE     workload working set      (default: 2M)\n"
+        "  --ws SIZE     workload working set      (default: 4M);\n"
+        "                mgrid needs 2M or less (its program does not\n"
+        "                build at 4M and up)\n"
         "  --insts N     measured instructions     (default: 100000)\n"
         "  --warmup N    fast-forward instructions (default: 50000)\n"
         "  --auth N      MAC verification latency  (default: 148)\n"

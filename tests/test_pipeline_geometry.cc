@@ -3,13 +3,17 @@
  * Pipeline geometry sweeps: the core must stay architecturally correct
  * (co-simulated) across RUU sizes, widths, store-buffer depths and
  * MSHR limits — a robustness net under the structures the paper's
- * sensitivity studies vary (Fig. 10/11 halve the RUU).
+ * sensitivity studies vary (Fig. 10/11 halve the RUU). Each geometry
+ * also pins its exact timing, so the scheduler's width, FU and port
+ * rules are held on the narrow and tiny machines the fig7 sweep never
+ * runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "common/stats.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
 
@@ -27,6 +31,32 @@ const AuthPolicy kPolicies[] = {
     AuthPolicy::kAuthThenIssue,
     AuthPolicy::kAuthThenWrite,
     AuthPolicy::kCommitPlusFetch,
+};
+
+/** Exact timing of one geometry's window (recorded from the RUU-scan
+ *  scheduler; the ready-list scheduler must reproduce it). equake's
+ *  window has no mispredicts and no forwards, so those columns hold
+ *  0; tests/test_ooo_core.cc pins forwarding timing. */
+struct PinnedTiming
+{
+    Geometry geometry;
+    std::uint64_t cycles;
+    std::uint64_t issued;
+    std::uint64_t squashed;
+    std::uint64_t loadForwards;
+};
+
+const PinnedTiming kPinned[] = {
+    {Geometry{128, 8, 32, 16, 0}, 159684, 15085, 0, 0},
+    {Geometry{64, 8, 32, 16, 0}, 187977, 15042, 0, 0},
+    {Geometry{16, 8, 32, 16, 0}, 285888, 15010, 0, 0},
+    {Geometry{8, 2, 4, 2, 0}, 444868, 15005, 0, 0},
+    {Geometry{128, 2, 32, 16, 0}, 159928, 15085, 0, 0},
+    {Geometry{128, 8, 1, 16, 1}, 168919, 15085, 0, 0},
+    {Geometry{64, 4, 8, 1, 2}, 452332, 15042, 0, 0},
+    {Geometry{32, 8, 32, 16, 3}, 283648, 15021, 0, 0},
+    {Geometry{128, 8, 2, 16, 2}, 159684, 15085, 0, 0},
+    {Geometry{16, 2, 2, 2, 3}, 425399, 15011, 0, 0},
 };
 
 } // namespace
@@ -59,6 +89,17 @@ TEST_P(PipelineGeometry, RunsCosimulated)
     sim::RunResult res = system.measureTimed(15000, 60'000'000);
     EXPECT_EQ(res.reason, cpu::StopReason::kInstLimit);
     EXPECT_GT(res.ipc, 0.0);
+
+    const PinnedTiming *pin = nullptr;
+    for (const PinnedTiming &p : kPinned)
+        if (p.geometry == GetParam())
+            pin = &p;
+    ASSERT_NE(pin, nullptr);
+    const StatGroup &core = system.core().stats();
+    EXPECT_EQ(res.cycles, pin->cycles);
+    EXPECT_EQ(core.counterValue("issued"), pin->issued);
+    EXPECT_EQ(core.counterValue("squashed"), pin->squashed);
+    EXPECT_EQ(core.counterValue("load_forwards"), pin->loadForwards);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,9 +1,13 @@
 /**
  * @file
- * Event-driven scheduler tests. Three contracts:
+ * Event-driven scheduler tests. Four contracts:
  *   - the event loop is deterministic: repeated runs of the same point
  *     produce the same run result, stall taxonomy, stat dump, and
- *     profiler segments, on several workload x policy points;
+ *     profiler segments, on several workload x policy points, and
+ *     those points keep their pinned cycle and issue counts;
+ *   - the interval series is exact and passive: fed once per sample
+ *     boundary across skipped idle windows, its rows tile the window
+ *     and sum to the run totals, and recording it moves no result;
  *   - same-cycle wakes dispatch deterministically in attachment order
  *     (front attachments first), and re-arms keep that order;
  *   - the Txn timeline arena never leaks: churned blocks return to the
@@ -12,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "mem/txn.hh"
+#include "obs/interval.hh"
 #include "sim/config_io.hh"
 #include "sim/scheduler.hh"
 #include "sim/system.hh"
@@ -37,46 +43,83 @@ cfgFor(AuthPolicy policy)
     return cfg;
 }
 
-/** One measured point: run result + full stat dump + stall counters. */
+/** One measured point: run result + full stat dump + stall counters
+ *  (+ the interval series when @p stats_interval is set). */
 struct PointOutcome
 {
     sim::RunResult run;
     std::string stats;
     obs::StallArray stalls;
     Cycle cycles = 0;
+    std::uint64_t issued = 0, squashed = 0;
+    std::vector<obs::IntervalSample> intervals;
 };
 
 PointOutcome
-runPoint(const std::string &workload, AuthPolicy policy)
+runPoint(const std::string &workload, AuthPolicy policy,
+         std::uint64_t stats_interval = 0)
 {
     workloads::WorkloadParams params;
     params.workingSetBytes = 1 << 20;
-    sim::System system(cfgFor(policy),
-                       workloads::build(workload, params));
+    sim::SimConfig cfg = cfgFor(policy);
+    cfg.statsInterval = stats_interval;
+    sim::System system(cfg, workloads::build(workload, params));
     system.fastForward(10000);
     PointOutcome out;
     out.run = system.measureTimed(20000, 20'000'000);
     out.stats = system.dumpStats();
     out.stalls = system.core().stallCycles();
     out.cycles = system.core().cycles();
+    out.issued = system.core().stats().counterValue("issued");
+    out.squashed = system.core().stats().counterValue("squashed");
+    if (system.intervalRecorder())
+        out.intervals = system.intervalRecorder()->samples();
     return out;
+}
+
+/** FNV-1a over the series' integer columns (ipc is derived). */
+std::uint64_t
+seriesDigest(const std::vector<obs::IntervalSample> &samples)
+{
+    std::string text;
+    for (const obs::IntervalSample &s : samples) {
+        text += std::to_string(s.endCycle) + ' ' +
+                std::to_string(s.cycles) + ' ' + std::to_string(s.insts);
+        for (std::uint64_t stall : s.stalls)
+            text += ' ' + std::to_string(stall);
+        text += '\n';
+    }
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
 }
 
 } // namespace
 
 // A heap-ordered event loop with a deterministic tie-break must be
-// exactly reproducible: same point, same bits, every time.
+// exactly reproducible: same point, same bits, every time. The exact
+// timing of each point is pinned too (recorded from the RUU-scan
+// scheduler); twolf, vortex and parser have many loads waiting on
+// older stores with unknown addresses, so the ready list's parked
+// loads must issue exactly when the scan would have issued them.
 TEST(Scheduler, EventLoopDeterministic)
 {
     struct
     {
         const char *workload;
         AuthPolicy policy;
+        std::uint64_t cycles, issued, squashed;
     } points[] = {
-        {"mcf", AuthPolicy::kAuthThenCommit},
-        {"gcc", AuthPolicy::kAuthThenIssue},
-        {"twolf", AuthPolicy::kAuthThenWrite},
-        {"bzip2", AuthPolicy::kCommitPlusFetch},
+        {"mcf", AuthPolicy::kAuthThenCommit, 561743, 20015, 0},
+        {"gcc", AuthPolicy::kAuthThenIssue, 48035, 45169, 39940},
+        {"twolf", AuthPolicy::kAuthThenWrite, 198260, 66556, 53420},
+        {"bzip2", AuthPolicy::kCommitPlusFetch, 22975, 25160, 7469},
+        {"twolf", AuthPolicy::kAuthThenCommit, 201932, 63918, 49626},
+        {"vortex", AuthPolicy::kAuthThenIssue, 1002502, 20056, 0},
+        {"parser", AuthPolicy::kBaseline, 187187, 20100, 0},
     };
     for (const auto &p : points) {
         PointOutcome first = runPoint(p.workload, p.policy);
@@ -90,6 +133,10 @@ TEST(Scheduler, EventLoopDeterministic)
             EXPECT_EQ(first.stalls[s], again.stalls[s])
                 << p.workload << " stall cause " << s;
         EXPECT_EQ(first.stats, again.stats) << p.workload;
+
+        EXPECT_EQ(first.run.cycles, p.cycles) << p.workload;
+        EXPECT_EQ(first.issued, p.issued) << p.workload;
+        EXPECT_EQ(first.squashed, p.squashed) << p.workload;
     }
 }
 
@@ -112,6 +159,59 @@ TEST(Scheduler, ProfilerSegmentsDeterministic)
     for (unsigned s = 0; s < obs::kNumPathSegments; ++s)
         EXPECT_EQ(first.demandSegCycles[s], again.demandSegCycles[s])
             << "segment " << s;
+}
+
+// The recorder is fed at its sample boundaries only (idle windows are
+// split there, not walked per cycle). The series must still tile the
+// window exactly, sum to the run totals, leave every result and stat
+// untouched, and match the rows of the per-cycle feed it replaced
+// (digests recorded from that implementation).
+TEST(Intervals, BoundaryFedSeriesIsExactAndPassive)
+{
+    constexpr std::uint64_t kPeriod = 1000;
+    struct
+    {
+        const char *workload;
+        AuthPolicy policy;
+        std::uint64_t digest;
+    } points[] = {
+        {"mcf", AuthPolicy::kAuthThenCommit, 0x66dd4a2b5faf4eb3ull},
+        {"gcc", AuthPolicy::kBaseline, 0x1576c6968d5a013dull},
+    };
+    for (const auto &p : points) {
+        PointOutcome plain = runPoint(p.workload, p.policy);
+        PointOutcome sampled = runPoint(p.workload, p.policy, kPeriod);
+
+        EXPECT_EQ(plain.run.insts, sampled.run.insts) << p.workload;
+        EXPECT_EQ(plain.run.cycles, sampled.run.cycles) << p.workload;
+        EXPECT_EQ(plain.run.reason, sampled.run.reason) << p.workload;
+        EXPECT_EQ(plain.stats, sampled.stats) << p.workload;
+        EXPECT_TRUE(plain.intervals.empty()) << p.workload;
+
+        const std::vector<obs::IntervalSample> &series = sampled.intervals;
+        ASSERT_GE(series.size(), 2u) << p.workload;
+        std::uint64_t cycles = 0, insts = 0;
+        obs::StallArray stalls{};
+        for (std::size_t i = 0; i < series.size(); ++i) {
+            if (i + 1 < series.size()) {
+                EXPECT_EQ(series[i].cycles, kPeriod)
+                    << p.workload << " sample " << i;
+            }
+            EXPECT_LE(series[i].cycles, kPeriod) << p.workload;
+            cycles += series[i].cycles;
+            insts += series[i].insts;
+            for (unsigned c = 0; c < obs::kNumStallCauses; ++c)
+                stalls[c] += series[i].stalls[c];
+        }
+        EXPECT_EQ(cycles, sampled.run.cycles) << p.workload;
+        EXPECT_EQ(insts, sampled.run.insts) << p.workload;
+        for (unsigned c = 0; c < obs::kNumStallCauses; ++c)
+            EXPECT_EQ(stalls[c], sampled.stalls[c])
+                << p.workload << " stall cause " << c;
+        EXPECT_EQ(seriesDigest(series), p.digest)
+            << p.workload << " digest 0x" << std::hex
+            << seriesDigest(series);
+    }
 }
 
 namespace

@@ -10,7 +10,10 @@ Compares a fresh recording against a committed reference, per
   - wall-clock (host time per point) may drift with machine load; it
     only fails the gate when the total slows down by more than the
     threshold (--max-wall-ratio, default 1.5x), and the report then
-    attributes the slowdown per workload so the offender is named;
+    attributes the slowdown per workload so the offender is named.
+    Per-point wall time also depends on the worker count, so the
+    wall-clock line prints each side's "jobs" (ACP_JOBS of the
+    recording; "?" for recordings made before it was stored);
   - provenance manifests are reported but never compared: two builds
     legitimately differ in SHA/host/timestamps.
 
@@ -108,7 +111,9 @@ def diff(ref_doc, ref_points, new_doc, new_points, max_wall_ratio):
     new_wall = sum(p.get("wallSeconds", 0.0) for p in new_points.values())
     if ref_wall > 0:
         ratio = new_wall / ref_wall
-        lines.append(f"wall-clock: {ref_wall:.2f}s -> {new_wall:.2f}s "
+        lines.append(f"wall-clock: {ref_wall:.2f}s "
+                     f"(jobs {ref_doc.get('jobs', '?')}) -> "
+                     f"{new_wall:.2f}s (jobs {new_doc.get('jobs', '?')}) "
                      f"({ratio:.2f}x, threshold {max_wall_ratio:.2f}x)")
         if ratio > max_wall_ratio:
             ok = False
@@ -144,7 +149,7 @@ def self_test():
             "version": "acp-bench-baseline-v1",
             "manifest": {"schema": "acp-manifest-v1", "gitSha": "aaa"},
             "measureInsts": 60000, "warmupInsts": 30000,
-            "workingSetBytes": 2 << 20,
+            "workingSetBytes": 2 << 20, "jobs": 4,
             "points": [
                 {"workload": w, "policy": p,
                  "ipc": round(0.5 * ipc_scale, 6), "cycles": 120000,
@@ -163,8 +168,20 @@ def self_test():
         ok, lines = diff(ref, ref_points, new, new_points, ratio)
         return ok, "\n".join(lines)
 
-    ok, _ = run(doc(), doc())
+    ok, report = run(doc(), doc())
     assert ok, "identical recordings must pass"
+
+    # Both sides' worker counts ride on the wall-clock line.
+    single = doc()
+    single["jobs"] = 1
+    ok, report = run(single, doc())
+    assert ok, "a worker-count difference alone must not fail the gate"
+    assert "(jobs 1) -> " in report and "(jobs 4) (" in report, \
+        "wall-clock line must name both sides' jobs"
+    legacy = doc()
+    del legacy["jobs"]
+    _, report = run(legacy, doc())
+    assert "(jobs ?) -> " in report, "a missing jobs field prints '?'"
 
     # Bounded wall noise passes; simulated numbers still identical.
     ok, _ = run(doc(), doc(wall_scale=1.3))
