@@ -177,7 +177,7 @@ class OooCore : public sim::Component
         Addr pc = 0;
         isa::DecodedInst inst;
         /** Static properties cached at dispatch (isa::opInfo is a
-         *  table call the issue loop would otherwise repeat). */
+         *  table lookup the issue loop would otherwise repeat). */
         isa::FuClass fu = isa::FuClass::kNone;
         std::uint8_t latency = 0;
         std::uint8_t dest = 0; // inst.destReg()

@@ -1,5 +1,6 @@
 #include "exp/result_store.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -137,6 +138,17 @@ ResultStore::replayLocked(const std::string &index)
         std::list<std::string>::iterator lruIt;
     };
     std::unordered_map<std::string, Span> spans;
+    std::string data;
+    readFile(dataPath(), data);
+    // A payload is whole once the newline after it is written.
+    auto whole = [&data](std::uint64_t offset, std::uint64_t len) {
+        return offset <= data.size() && len < data.size() - offset &&
+               data[offset + len] == '\n';
+    };
+    // End of the last whole payload any put record references
+    // (superseded and evicted ones included): bytes past it are a
+    // torn append.
+    std::uint64_t data_end = 0;
     for (std::size_t pos = eol + 1; pos < index.size(); pos = eol + 1) {
         eol = index.find('\n', pos);
         if (eol == std::string::npos)
@@ -153,6 +165,9 @@ ResultStore::replayLocked(const std::string &index)
         std::string key(digest);
         auto it = spans.find(key);
         if (std::string(op) == "put" && n == 4) {
+            if (whole(offset, len))
+                data_end = std::max<std::uint64_t>(data_end,
+                                                   offset + len + 1);
             if (it != spans.end()) {
                 lru_.erase(it->second.lruIt);
                 spans.erase(it);
@@ -175,17 +190,22 @@ ResultStore::replayLocked(const std::string &index)
         }
     }
 
+    if (data_end < data.size()) {
+        if (::truncate(dataPath().c_str(), off_t(data_end)) != 0)
+            std::perror(dataPath().c_str());
+        data.resize(data_end);
+    }
+
     // Resolve payloads. A span that cannot be read (truncated data
     // file, crashed writer) just drops its entry: the store serves
     // only what it can prove it has.
-    std::string data;
-    readFile(dataPath(), data);
+    bool lost = false;
     for (auto it = lru_.begin(); it != lru_.end();) {
         const Span &span = spans[*it];
-        if (span.offset > data.size() ||
-            span.len > data.size() - span.offset) {
+        if (!whole(span.offset, span.len)) {
             ++deadRecords_;
             it = lru_.erase(it);
+            lost = true;
             continue;
         }
         Entry entry;
@@ -196,6 +216,10 @@ ResultStore::replayLocked(const std::string &index)
         entries_.emplace(*it, std::move(entry));
         ++it;
     }
+    // The next put lands where a lost payload's span points; rewrite
+    // the journal so that span can never resolve to another payload.
+    if (lost)
+        compactLocked();
     return true;
 }
 

@@ -40,6 +40,13 @@
  * puts become visible at this instance's next open. A crash can leave
  * the last index record cut mid-line; open truncates index.txt back
  * to its last newline, so the next append starts on a fresh line.
+ * A crash can also leave bytes in data.txt that no put record
+ * references (a put that never reached the index, or a payload cut
+ * before its newline); open truncates data.txt after the newline of
+ * the last whole payload the journal references, so the next put's
+ * span starts a fresh line. A put whose payload is not whole is
+ * dropped, and the journal is then compacted so its span cannot come
+ * to point into a later payload.
  * When the lock file cannot be created (unwritable directory) the
  * store serves from memory only and touches no file.
  */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <new>
+#include <vector>
 
 namespace acp::mem
 {
@@ -61,11 +62,6 @@ pool()
     return p;
 }
 
-} // namespace
-
-namespace detail
-{
-
 void *
 arenaAllocate(std::size_t bytes)
 {
@@ -103,7 +99,7 @@ arenaDeallocate(void *p, std::size_t bytes) noexcept
     pool().free[classLog2(bytes)].push_back(p);
 }
 
-} // namespace detail
+} // namespace
 
 TxnArenaStats
 txnArenaStats()
@@ -124,14 +120,47 @@ txnArenaDrain()
 }
 
 void
+TxnPath::copyFrom(const TxnPath &o)
+{
+    size_ = 0;
+    if (o.size_ > capacity_) {
+        if (heap_ != nullptr)
+            releaseHeap();
+        heap_ = static_cast<TxnStep *>(
+            arenaAllocate(o.size_ * sizeof(TxnStep)));
+        capacity_ = o.size_;
+    }
+    std::memcpy(static_cast<void *>(data()), o.data(),
+                o.size_ * sizeof(TxnStep));
+    size_ = o.size_;
+}
+
+void
+TxnPath::grow()
+{
+    std::uint32_t capacity = capacity_ * 2;
+    auto *block = static_cast<TxnStep *>(
+        arenaAllocate(capacity * sizeof(TxnStep)));
+    std::memcpy(static_cast<void *>(block), data(),
+                size_ * sizeof(TxnStep));
+    if (heap_ != nullptr)
+        arenaDeallocate(heap_, capacity_ * sizeof(TxnStep));
+    heap_ = block;
+    capacity_ = capacity;
+}
+
+void
+TxnPath::releaseHeap() noexcept
+{
+    arenaDeallocate(heap_, capacity_ * sizeof(TxnStep));
+    heap_ = nullptr;
+    capacity_ = kInlineSteps;
+}
+
+void
 Txn::note(PathEvent event, Cycle cycle, Addr at)
 {
-    // Insert after any step with the same cycle: equal-cycle events
-    // keep record order, later-noted earlier events sort into place.
-    auto pos = std::upper_bound(
-        path.begin(), path.end(), cycle,
-        [](Cycle c, const TxnStep &s) { return c < s.cycle; });
-    path.insert(pos, TxnStep{cycle, at, event});
+    path.insertSorted(TxnStep{cycle, at, event});
 }
 
 Cycle

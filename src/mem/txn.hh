@@ -31,7 +31,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <cstring>
+#include <new>
 
 #include "common/types.hh"
 #include "mem/bus_trace.hh"
@@ -41,23 +42,19 @@ namespace acp::mem
 
 // ----- timeline arena ----------------------------------------------------
 //
-// Txn objects are created and destroyed on every timed access — the
-// hottest allocation site in the simulator. Their timeline storage is
-// drawn from a thread-local pooling arena: freed blocks are recycled
-// by power-of-two size class instead of returned to the system
+// A Txn timeline lives inside the Txn (see TxnPath below); only a
+// timeline that outgrows its inline capacity spills its steps to a
+// thread-local pooling arena: freed blocks are recycled by
+// power-of-two size class instead of returned to the system
 // allocator. The pool is per-thread (exp::submit runs points on a
 // thread pool) and frees all pooled blocks at thread exit, so the
 // sanitizer jobs see no leaks. Blocks may be freed on a different
 // thread than they were allocated on; they simply enter that thread's
 // pool.
 
-namespace detail
-{
-void *arenaAllocate(std::size_t bytes);
-void arenaDeallocate(void *p, std::size_t bytes) noexcept;
-} // namespace detail
-
-/** Arena observability (tests assert the pool never leaks). */
+/** Arena observability (tests assert the pool never leaks). Every
+ *  count is of spilled timeline blocks; a timeline that fits inline
+ *  never reaches the arena. */
 struct TxnArenaStats
 {
     /** Total block requests served (pool hits + fresh allocations). */
@@ -77,45 +74,6 @@ TxnArenaStats txnArenaStats();
 /** Release every block pooled by the calling thread (also happens
  *  automatically at thread exit). */
 void txnArenaDrain();
-
-/** Minimal allocator handle over the arena (stateless). */
-template <typename T>
-struct TxnAlloc
-{
-    using value_type = T;
-
-    TxnAlloc() noexcept = default;
-    template <typename U>
-    TxnAlloc(const TxnAlloc<U> &) noexcept
-    {
-    }
-
-    T *
-    allocate(std::size_t n)
-    {
-        return static_cast<T *>(detail::arenaAllocate(n * sizeof(T)));
-    }
-
-    void
-    deallocate(T *p, std::size_t n) noexcept
-    {
-        detail::arenaDeallocate(p, n * sizeof(T));
-    }
-};
-
-template <typename A, typename B>
-bool
-operator==(const TxnAlloc<A> &, const TxnAlloc<B> &)
-{
-    return true;
-}
-
-template <typename A, typename B>
-bool
-operator!=(const TxnAlloc<A> &, const TxnAlloc<B> &)
-{
-    return false;
-}
 
 /** Steps an off-chip access can take through the resource model. */
 enum class PathEvent : std::uint8_t
@@ -169,6 +127,90 @@ struct TxnStep
     }
 };
 
+/**
+ * A Txn timeline: its steps in cycle order. Txn objects are created
+ * and destroyed on every timed access, so the first kInlineSteps steps
+ * live inside the object, in raw storage that nothing constructs or
+ * zeroes until a step is written; building a Txn allocates nothing.
+ * A longer timeline spills to the arena above, doubling its capacity
+ * each time it fills. Reads look like a vector's: size, [], front,
+ * back, range-for.
+ */
+class TxnPath
+{
+  public:
+    /** Without the integrity tree no timeline passes 23 steps (most
+     *  are the one-step top-level request record); with it, node
+     *  fetches stretch the longest to several dozen, and those spill. */
+    static constexpr std::uint32_t kInlineSteps = 24;
+
+    TxnPath() noexcept {}
+    TxnPath(const TxnPath &o) { copyFrom(o); }
+    TxnPath &
+    operator=(const TxnPath &o)
+    {
+        if (this != &o)
+            copyFrom(o);
+        return *this;
+    }
+    ~TxnPath()
+    {
+        if (heap_ != nullptr)
+            releaseHeap();
+    }
+
+    std::size_t size() const { return size_; }
+    const TxnStep &operator[](std::size_t i) const { return data()[i]; }
+    const TxnStep &front() const { return data()[0]; }
+    const TxnStep &back() const { return data()[size_ - 1]; }
+    const TxnStep *begin() const { return data(); }
+    const TxnStep *end() const { return data() + size_; }
+
+    /** Insert @p step after every step whose cycle is <= its own, so
+     *  equal-cycle steps keep record order. */
+    void
+    insertSorted(const TxnStep &step)
+    {
+        if (size_ == capacity_)
+            grow();
+        TxnStep *d = data();
+        std::uint32_t pos = size_;
+        while (pos > 0 && step.cycle < d[pos - 1].cycle)
+            --pos;
+        std::memmove(static_cast<void *>(d + pos + 1), d + pos,
+                     (size_ - pos) * sizeof(TxnStep));
+        new (d + pos) TxnStep(step);
+        ++size_;
+    }
+
+  private:
+    TxnStep *
+    data()
+    {
+        return heap_ != nullptr ? heap_
+                                : reinterpret_cast<TxnStep *>(inline_);
+    }
+    const TxnStep *
+    data() const
+    {
+        return heap_ != nullptr
+                   ? heap_
+                   : reinterpret_cast<const TxnStep *>(inline_);
+    }
+
+    /** Replace the contents with @p o's, reusing storage that fits. */
+    void copyFrom(const TxnPath &o);
+    /** Move the steps to an arena block of twice the capacity. */
+    void grow();
+    /** Return the arena block and fall back to inline storage. */
+    void releaseHeap() noexcept;
+
+    TxnStep *heap_ = nullptr;
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_ = kInlineSteps;
+    alignas(TxnStep) unsigned char inline_[kInlineSteps * sizeof(TxnStep)];
+};
+
 /** The transaction. */
 struct Txn
 {
@@ -218,8 +260,7 @@ struct Txn
     std::array<std::uint8_t, kExtLineBytes> data{};
 
     // ----- timeline ----------------------------------------------------
-    /** Arena-backed step storage (see TxnAlloc above). */
-    using Path = std::vector<TxnStep, TxnAlloc<TxnStep>>;
+    using Path = TxnPath;
     Path path;
 
     /** Record a path event, keeping the timeline sorted by cycle. */

@@ -119,8 +119,8 @@ PathProfiler::record(const mem::Txn &txn)
     entry.reqCycle = txn.reqCycle;
     entry.latency = latency;
     entry.macOk = txn.macOk;
-    // The profile outlives the run, so the timeline is copied out of
-    // the arena-backed Txn storage into a plain vector.
+    // The profile outlives the Txn, so its timeline is copied into a
+    // plain vector.
     entry.path.assign(txn.path.begin(), txn.path.end());
     auto pos = std::lower_bound(slowest_.begin(), slowest_.end(), entry,
                                 slower);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the transaction path profiler: timeline merge/ordering
- * edge cases on mem::Txn, the exact telescoping segment decomposition
+ * edge cases on mem::Txn (timelines inline and spilled), the exact telescoping segment decomposition
  * (including partial MAC-fail timelines), per-policy segment-sum
  * exactness of the aggregated report, the Table-1 consistency of the
  * stall join, deterministic report output, the machine-checked Table-2
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -175,6 +176,95 @@ TEST(TxnTimeline, AbsentEventIsCycleNever)
 
     Txn empty;
     EXPECT_EQ(empty.eventCycle(PathEvent::kRequest), kCycleNever);
+}
+
+/** The timeline order note() must keep: the upper_bound insertion of
+ *  a sorted vector (equal cycles in record order). */
+void
+noteReference(std::vector<mem::TxnStep> &ref, PathEvent event, Cycle cycle,
+              Addr at)
+{
+    auto pos = std::upper_bound(
+        ref.begin(), ref.end(), cycle,
+        [](Cycle c, const mem::TxnStep &s) { return c < s.cycle; });
+    ref.insert(pos, mem::TxnStep{cycle, at, event});
+}
+
+void
+expectPath(const Txn::Path &path, const std::vector<mem::TxnStep> &ref)
+{
+    ASSERT_EQ(path.size(), ref.size());
+    std::size_t i = 0;
+    for (const mem::TxnStep &s : path) {
+        EXPECT_TRUE(s == ref[i]) << "step " << i;
+        EXPECT_TRUE(path[i] == ref[i]) << "step " << i;
+        ++i;
+    }
+    if (!ref.empty()) {
+        EXPECT_TRUE(path.front() == ref.front());
+        EXPECT_TRUE(path.back() == ref.back());
+    }
+}
+
+TEST(TxnTimeline, SpilledTimelineKeepsNoteOrder)
+{
+    constexpr std::uint32_t kInline = Txn::Path::kInlineSteps;
+    const std::uint64_t live0 = mem::txnArenaStats().live;
+    {
+        // Out-of-order and equal cycles (a small cycle range), each
+        // step told apart by its address.
+        Txn txn;
+        std::vector<mem::TxnStep> ref;
+        std::uint64_t lcg = 12345;
+        for (std::uint32_t i = 0; i < 3 * kInline + 5; ++i) {
+            lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+            Cycle cycle = 100 + (lcg >> 33) % 17;
+            PathEvent event = PathEvent(i % 12);
+            const std::uint64_t allocs0 = mem::txnArenaStats().allocs;
+            txn.note(event, cycle, Addr(i));
+            noteReference(ref, event, cycle, Addr(i));
+            expectPath(txn.path, ref);
+            // Only outgrowing the inline storage reaches the arena.
+            if (i < kInline) {
+                EXPECT_EQ(mem::txnArenaStats().allocs, allocs0) << i;
+            } else if (i == kInline) {
+                EXPECT_EQ(mem::txnArenaStats().allocs, allocs0 + 1);
+            }
+        }
+
+        // Copy and assignment, across inline and spilled storage.
+        Txn copy = txn;
+        expectPath(copy.path, ref);
+        Txn small;
+        small.note(PathEvent::kRequest, 7, 0x40);
+        small.note(PathEvent::kBusGrant, 3, 0x80);
+        std::vector<mem::TxnStep> small_ref;
+        noteReference(small_ref, PathEvent::kRequest, 7, 0x40);
+        noteReference(small_ref, PathEvent::kBusGrant, 3, 0x80);
+        expectPath(small.path, small_ref);
+        Txn assigned = small;
+        assigned = txn; // inline <- spilled
+        expectPath(assigned.path, ref);
+        assigned = small; // spilled <- inline
+        expectPath(assigned.path, small_ref);
+        const Txn &self = copy;
+        copy = self;
+        expectPath(copy.path, ref);
+
+        // A spilled child merged into an inline parent interleaves
+        // exactly as noting each child step would.
+        Txn parent;
+        std::vector<mem::TxnStep> parent_ref;
+        for (Cycle c : {Cycle(101), Cycle(105), Cycle(105), Cycle(112)}) {
+            parent.note(PathEvent::kRequest, c, 0x1000 + c);
+            noteReference(parent_ref, PathEvent::kRequest, c, 0x1000 + c);
+        }
+        parent.merge(txn);
+        for (const mem::TxnStep &s : ref)
+            noteReference(parent_ref, s.event, s.cycle, s.addr);
+        expectPath(parent.path, parent_ref);
+    }
+    EXPECT_EQ(mem::txnArenaStats().live, live0);
 }
 
 // ---------------------------------------------------------------------

@@ -10,8 +10,8 @@
  *     and sum to the run totals, and recording it moves no result;
  *   - same-cycle wakes dispatch deterministically in attachment order
  *     (front attachments first), and re-arms keep that order;
- *   - the Txn timeline arena never leaks: churned blocks return to the
- *     pool and live counts come back to baseline.
+ *   - the Txn timeline arena never leaks: blocks of spilled timelines
+ *     return to the pool and live counts come back to baseline.
  */
 
 #include <gtest/gtest.h>
@@ -324,26 +324,31 @@ TEST(Scheduler, TxnArenaNeverLeaks)
 {
     const std::uint64_t live0 = mem::txnArenaStats().live;
 
-    // Direct churn: 10k timeline vectors allocated and destroyed.
+    // Direct churn: 10k timelines, each longer than the inline
+    // storage, spilled to the arena (once or twice) and destroyed.
+    constexpr unsigned kInline = mem::Txn::Path::kInlineSteps;
     for (unsigned i = 0; i < 10000; ++i) {
-        mem::Txn::Path path;
-        for (unsigned s = 0; s < 1 + (i % 13); ++s)
-            path.push_back(
-                {Cycle(i + s), Addr(i * 64), mem::PathEvent::kRequest});
+        mem::Txn txn;
+        for (unsigned s = 0; s < kInline + 1 + (i % (2 * kInline)); ++s)
+            txn.note(mem::PathEvent::kRequest, Cycle(i + s), Addr(i * 64));
     }
     mem::TxnArenaStats after = mem::txnArenaStats();
     EXPECT_EQ(after.live, live0);
     EXPECT_GT(after.poolHits, 0u);
 
     // End-to-end churn: a timed window creates and retires real
-    // transactions; everything must be back in the pool afterwards.
+    // transactions, and the integrity tree's node fetches make some
+    // timelines spill; everything must be back in the pool afterwards.
     {
         workloads::WorkloadParams params;
         params.workingSetBytes = 1 << 20;
-        sim::System system(cfgFor(AuthPolicy::kAuthThenCommit),
-                           workloads::build("mcf", params));
+        sim::SimConfig cfg = cfgFor(AuthPolicy::kAuthThenCommit);
+        cfg.hashTreeEnabled = true;
+        sim::System system(cfg, workloads::build("mcf", params));
         system.fastForward(5000);
+        const std::uint64_t allocs0 = mem::txnArenaStats().allocs;
         system.measureTimed(10000, 10'000'000);
+        EXPECT_GT(mem::txnArenaStats().allocs, allocs0);
         EXPECT_EQ(mem::txnArenaStats().live, live0);
     }
     EXPECT_EQ(mem::txnArenaStats().live, live0);

@@ -4,12 +4,13 @@
  * payload round-trip through the codec, journal replay reconstructing
  * LRU order across reopen, persistent eviction under the
  * ACP_CACHE_MAX_ENTRIES cap, journal compaction keeping every live
- * entry servable, torn-record repair, memory-only fallback, and
+ * entry servable, torn index and data repair, memory-only fallback, and
  * several processes writing one store at once.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -262,6 +263,108 @@ TEST(ResultStore, TornIndexRecordIsCutOnOpen)
             EXPECT_TRUE((tokens[0] == "touch" || tokens[0] == "evict") &&
                         tokens.size() == 2)
                 << lines[i];
+    }
+}
+
+std::string
+readText(const std::string &path)
+{
+    std::string text;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return text;
+    for (int ch; (ch = std::fgetc(f)) != EOF;)
+        text += char(ch);
+    std::fclose(f);
+    return text;
+}
+
+/** Every put record's span is one whole data.txt line, and no bytes
+ *  follow the last of them. */
+void
+expectWellFormedData(const std::string &dir)
+{
+    std::string data = readText(dir + "/data.txt");
+    std::vector<std::string> lines = readLines(dir + "/index.txt");
+    std::uint64_t end = 0;
+    for (const std::string &line : lines) {
+        std::istringstream fields(line);
+        std::string op, digest;
+        std::uint64_t offset = 0, len = 0;
+        if (!(fields >> op >> digest >> offset >> len) || op != "put")
+            continue;
+        ASSERT_LT(offset + len, data.size()) << line;
+        EXPECT_TRUE(offset == 0 || data[offset - 1] == '\n') << line;
+        EXPECT_EQ(data[offset + len], '\n') << line;
+        EXPECT_EQ(data.find('\n', offset), offset + len) << line;
+        end = std::max(end, offset + len + 1);
+    }
+    EXPECT_EQ(data.size(), end);
+}
+
+TEST(ResultStore, TornDataTailIsCutOnOpen)
+{
+    ScratchStore dir("test_store_torn_data");
+    const std::string data = dir.path() + "/data.txt";
+    std::size_t last_len = 0;
+    {
+        exp::ResultStore store(dir.path());
+        store.put(digestOf('a'), sampleResult(1));
+        store.put(digestOf('b'), sampleResult(2));
+        last_len = exp::encodeResultTokens(sampleResult(2)).size();
+    }
+    const std::string intact = readText(data);
+    const std::string intact_index = readText(dir.path() + "/index.txt");
+
+    // Cut 0 .. (b's payload + its newline + a's newline) bytes, with
+    // and without the start of a put's payload that never reached the
+    // index (a crash between the data and index appends).
+    for (std::size_t cut = 0; cut <= last_len + 2; ++cut) {
+        for (bool orphan : {false, true}) {
+            SCOPED_TRACE("cut " + std::to_string(cut) +
+                         (orphan ? " + orphan" : ""));
+            std::string torn = intact.substr(0, intact.size() - cut);
+            if (orphan)
+                torn += exp::encodeResultTokens(sampleResult(99))
+                            .substr(0, 40);
+            std::FILE *f = std::fopen(data.c_str(), "wb");
+            ASSERT_NE(f, nullptr);
+            std::fwrite(torn.data(), 1, torn.size(), f);
+            std::fclose(f);
+            f = std::fopen((dir.path() + "/index.txt").c_str(), "wb");
+            ASSERT_NE(f, nullptr);
+            std::fwrite(intact_index.data(), 1, intact_index.size(), f);
+            std::fclose(f);
+
+            // A put survives while its whole payload and newline do.
+            const bool has_b = cut == 0;
+            const bool has_a = cut <= last_len + 1;
+            const std::size_t kept = std::size_t(has_a) + has_b;
+            {
+                exp::ResultStore store(dir.path());
+                EXPECT_EQ(store.size(), kept);
+                expectWellFormedData(dir.path());
+                store.put(digestOf('c'), sampleResult(3));
+            }
+            expectWellFormedData(dir.path());
+            exp::ResultStore reopened(dir.path());
+            EXPECT_EQ(reopened.size(), kept + 1);
+            exp::Result out;
+            for (auto [digest, insts] :
+                 {std::pair{'a', 1u}, std::pair{'b', 2u},
+                  std::pair{'c', 3u}}) {
+                bool hit = reopened.lookup(digestOf(digest), out);
+                EXPECT_EQ(hit, digest == 'c' ||
+                                   (digest == 'a' ? has_a : has_b))
+                    << digest;
+                if (hit) {
+                    EXPECT_EQ(exp::encodeResultTokens(out),
+                              exp::encodeResultTokens(
+                                  sampleResult(insts)))
+                        << digest;
+                }
+            }
+        }
     }
 }
 

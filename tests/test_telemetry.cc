@@ -304,6 +304,10 @@ TEST(HostStats, PartitionSanity)
 {
     sim::SimConfig cfg = smallConfig();
     cfg.hostStats = true;
+    // Verified fills fetch integrity-tree nodes, which make some
+    // timelines outgrow their inline storage: the arena sees spills.
+    cfg.policy = core::AuthPolicy::kAuthThenCommit;
+    cfg.hashTreeEnabled = true;
     workloads::WorkloadParams params;
     params.workingSetBytes = 128 * 1024;
     sim::System system(cfg, workloads::build("mcf", params));
@@ -372,9 +376,10 @@ TEST(HostStats, ArenaHighWaterIsMonotone)
 {
     mem::TxnArenaStats before = mem::txnArenaStats();
     {
+        // One step past the inline storage: the timeline spills.
         mem::Txn txn;
-        txn.note(mem::PathEvent::kRequest, 1);
-        txn.note(mem::PathEvent::kBusGrant, 2);
+        for (Cycle c = 1; c <= mem::Txn::Path::kInlineSteps + 1; ++c)
+            txn.note(mem::PathEvent::kBusGrant, c);
     }
     mem::TxnArenaStats after = mem::txnArenaStats();
     EXPECT_GE(after.liveHighWater, before.liveHighWater);
