@@ -845,18 +845,28 @@ OooCore::accountCycle()
     }
     ruuOccupancy_.sample(ruuCount_);
     sbOccupancy_.sample(storeBuffer_.size());
-    if (recorder_ && cycle_ >= recorder_->nextSampleCycle())
-        recorder_->tick(cycle_, committed_.value(), stallCycles());
-    heartbeatSample(cycle_);
+    if (cycle_ >= nextSampleCycle())
+        feedSamplers(cycle_);
+}
+
+Cycle
+OooCore::nextSampleCycle() const
+{
+    Cycle next = kCycleNever;
+    for (const obs::IntervalSampler *s : samplers_)
+        if (s)
+            next = std::min(next, s->nextSampleCycle());
+    return next;
 }
 
 void
-OooCore::heartbeatSample(Cycle cycle)
+OooCore::feedSamplers(Cycle cycle)
 {
-    if (!heartbeat_ || cycle < heartbeat_->nextSampleCycle())
-        return;
-    heartbeat_->sample(cycle, committed_.value(), stallCycles(),
-                       hier_.txnsRetired());
+    obs::StallArray stalls = stallCycles();
+    std::uint64_t txns = hier_.txnsRetired();
+    for (obs::IntervalSampler *s : samplers_)
+        if (s)
+            s->tick(cycle, committed_.value(), stalls, txns);
 }
 
 obs::StallArray
@@ -866,13 +876,6 @@ OooCore::stallCycles() const
     for (unsigned i = 0; i < obs::kNumStallCauses; ++i)
         out[i] = stallCounters_[i].value();
     return out;
-}
-
-void
-OooCore::flushIntervals()
-{
-    if (recorder_)
-        recorder_->finish(cycle_, committed_.value(), stallCycles());
 }
 
 bool
@@ -1031,7 +1034,7 @@ void
 OooCore::accountIdleCycles(std::uint64_t n)
 {
     // Replays, for each of the n skipped cycles, exactly the counter
-    // and recorder side effects the polled loop's idle tick performs.
+    // and sampler side effects the polled loop's idle tick performs.
     // Machine state is frozen across the window (no completion, no
     // commit, no drain, no issue, no dispatch, no hierarchy access),
     // so each cycle charges the same latched causes and the counts
@@ -1043,13 +1046,12 @@ OooCore::accountIdleCycles(std::uint64_t n)
 
     const Cycle end = cycle_ + n;
     for (Cycle at = cycle_; at < end;) {
-        // Cut the window just after the recorder's next sample cycle,
-        // so the sample sees the totals of every cycle up to and
-        // including it, as a per-cycle feed would have shown them.
-        Cycle stop = end;
-        bool sample = recorder_ && recorder_->nextSampleCycle() < end;
-        if (sample)
-            stop = std::max(recorder_->nextSampleCycle(), at) + 1;
+        // Cut the window just after the earliest sample cycle of any
+        // sampler, so the sample sees the totals of every cycle up to
+        // and including it, as a per-cycle feed would have shown them.
+        Cycle next = nextSampleCycle();
+        bool sample = next < end;
+        Cycle stop = sample ? std::max(next, at) + 1 : end;
         std::uint64_t k = stop - at;
 
         if (auth_commit)
@@ -1067,10 +1069,9 @@ OooCore::accountIdleCycles(std::uint64_t n)
         else if (lsq_full)
             lsqFullStalls_ += k;
         if (sample)
-            recorder_->tick(stop - 1, committed_.value(), stallCycles());
+            feedSamplers(stop - 1);
         at = stop;
     }
-    heartbeatSample(end);
 }
 
 Cycle
@@ -1104,16 +1105,6 @@ OooCore::onWake(Cycle now)
         cycle_ = wake;
     }
     return cycle_;
-}
-
-void
-OooCore::resetStats()
-{
-    stats_.resetAll();
-    // Re-anchor the interval recorder: cumulative totals just went
-    // back to zero, so deltas must restart from here.
-    if (recorder_)
-        recorder_->rebase(cycle_, committed_.value(), stallCycles());
 }
 
 void

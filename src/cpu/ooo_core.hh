@@ -139,9 +139,6 @@ class OooCore : public sim::Component
             regs_[idx & 31] = v;
     }
 
-    /** Zero the measurement statistics (start of the timed window). */
-    void resetStats();
-
     /**
      * Emit a one-line commit trace for the next @p insts committed
      * instructions to @p out (cycle, pc, disassembly, result) — the
@@ -153,18 +150,23 @@ class OooCore : public sim::Component
     void setTrace(obs::TraceBuffer *trace) { trace_ = trace; }
 
     /** Attach a passive interval-statistics recorder. */
-    void setIntervalRecorder(obs::IntervalRecorder *rec) { recorder_ = rec; }
+    void
+    setIntervalRecorder(obs::IntervalRecorder *rec)
+    {
+        samplers_[kRecorderSampler] = rec;
+    }
 
     /** Attach a passive heartbeat feed (nullptr detaches). Like the
      *  trace and recorder sinks, the heartbeat only reads statistics
      *  the core maintains anyway — it never changes timing. */
-    void setHeartbeat(obs::HeartbeatRun *hb) { heartbeat_ = hb; }
+    void
+    setHeartbeat(obs::HeartbeatRun *hb)
+    {
+        samplers_[kHeartbeatSampler] = hb;
+    }
 
     /** Cumulative per-cause stall cycles of the stats window. */
     obs::StallArray stallCycles() const;
-
-    /** Flush the recorder's partial tail interval (window end). */
-    void flushIntervals();
 
     StatGroup &stats() { return stats_; }
 
@@ -300,9 +302,10 @@ class OooCore : public sim::Component
      * Account @p n skipped idle cycles exactly as the polled loop
      * would have. Machine state is frozen across the window, so every
      * per-cycle stall/occupancy bookkeeping step is batched
-     * arithmetically; the window is cut at the interval recorder's
-     * sample boundaries, and each boundary is fed the totals a
-     * per-cycle walk would have shown it. Bit-identical to ticking.
+     * arithmetically; the window is cut just after the earliest
+     * sample boundary of any attached sampler, and each boundary is
+     * fed the totals a per-cycle walk would have shown it.
+     * Bit-identical to ticking.
      */
     void accountIdleCycles(std::uint64_t n);
 
@@ -348,14 +351,17 @@ class OooCore : public sim::Component
     /**
      * Charge the current cycle: commit-active, or exactly one stall
      * cause. Runs immediately after stageCommit, before the younger
-     * stages mutate the RUU. Also feeds the interval recorder.
+     * stages mutate the RUU. Also feeds the samplers.
      */
     void accountCycle();
     /** Pick the single cause of a zero-commit cycle. */
     obs::StallCause classifyStall();
-    /** Feed the heartbeat (no-op unless a period boundary passed; the
-     *  nextSampleCycle() guard keeps the hot path to one compare). */
-    void heartbeatSample(Cycle cycle);
+    /** Earliest nextSampleCycle() of the attached samplers
+     *  (kCycleNever when none is attached). */
+    Cycle nextSampleCycle() const;
+    /** Feed every attached sampler the cumulative totals of the
+     *  cycles up to and including @p cycle. */
+    void feedSamplers(Cycle cycle);
 
     const sim::SimConfig &cfg_;
     secmem::MemHierarchy &hier_;
@@ -439,8 +445,8 @@ class OooCore : public sim::Component
 
     // Observability (passive: never feeds back into the model)
     obs::TraceBuffer *trace_ = nullptr;
-    obs::IntervalRecorder *recorder_ = nullptr;
-    obs::HeartbeatRun *heartbeat_ = nullptr;
+    enum : unsigned { kRecorderSampler, kHeartbeatSampler, kNumSamplers };
+    std::array<obs::IntervalSampler *, kNumSamplers> samplers_{};
     unsigned commitsThisCycle_ = 0;
     CommitBlock commitBlock_ = CommitBlock::kNone;
     /** Gate tag the commit stage last stalled on (for the trace's

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/json.hh"
 #include "cpu/ooo_core.hh"
 #include "obs/heartbeat.hh"
 #include "obs/manifest.hh"
@@ -72,24 +73,6 @@ class CaptureVisitor : public StatVisitor
     Result &out_;
 };
 
-void
-jsonEscape(std::FILE *f, const std::string &text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"': std::fputs("\\\"", f); break;
-          case '\\': std::fputs("\\\\", f); break;
-          case '\n': std::fputs("\\n", f); break;
-          case '\t': std::fputs("\\t", f); break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                std::fprintf(f, "\\u%04x", c);
-            else
-                std::fputc(c, f);
-        }
-    }
-}
-
 /** Serialized-config lines -> one JSON object (values stay strings
  *  only when non-numeric, e.g. the policy name). */
 void
@@ -112,7 +95,7 @@ writeConfigJson(std::FILE *f, const sim::SimConfig &cfg,
         std::string key = line.substr(0, eq);
         std::string value = line.substr(eq + 1);
         std::fprintf(f, "%s\n%s  \"", first ? "" : ",", indent);
-        jsonEscape(f, key);
+        std::fputs(json::escape(key).c_str(), f);
         bool numeric = !value.empty() &&
                        value.find_first_not_of("0123456789") ==
                            std::string::npos;
@@ -120,7 +103,7 @@ writeConfigJson(std::FILE *f, const sim::SimConfig &cfg,
             std::fprintf(f, "\": %s", value.c_str());
         } else {
             std::fputs("\": \"", f);
-            jsonEscape(f, value);
+            std::fputs(json::escape(value).c_str(), f);
             std::fputc('"', f);
         }
         first = false;
@@ -208,8 +191,8 @@ simulatePoint(const Point &point,
     if (point.prepare)
         point.prepare(system);
 
-    // Live heartbeat feeds (passive; each core samples its own from
-    // its per-cycle accounting). Created after the warmup so the
+    // Live heartbeat feeds (passive samplers; each core feeds its own
+    // next to its interval recorder). Created after the warmup so the
     // window's delta anchors are the timed cores' zeroed statistics.
     // Multi-core labels get a "#cpuN" suffix; single-core is the
     // classic unsuffixed stream.
@@ -442,9 +425,9 @@ writeJson(std::FILE *out, const std::vector<Point> &points,
         const Result &r = results[i];
         std::fprintf(out, "%s\n    {\n", i ? "," : "");
         std::fputs("      \"workload\": \"", out);
-        jsonEscape(out, p.workload);
+        std::fputs(json::escape(p.workload).c_str(), out);
         std::fputs("\",\n      \"label\": \"", out);
-        jsonEscape(out, p.label);
+        std::fputs(json::escape(p.label).c_str(), out);
         std::fprintf(out,
                      "\",\n      \"digest\": \"%s\",\n"
                      "      \"workloadSeed\": %llu,\n"
@@ -473,7 +456,7 @@ writeJson(std::FILE *out, const std::vector<Point> &points,
         bool first = true;
         for (const auto &[name, value] : r.counters) {
             std::fprintf(out, "%s\n          \"", first ? "" : ",");
-            jsonEscape(out, name);
+            std::fputs(json::escape(name).c_str(), out);
             std::fprintf(out, "\": %llu", (unsigned long long)value);
             first = false;
         }
@@ -482,7 +465,7 @@ writeJson(std::FILE *out, const std::vector<Point> &points,
         first = true;
         for (const auto &[name, avg] : r.averages) {
             std::fprintf(out, "%s\n          \"", first ? "" : ",");
-            jsonEscape(out, name);
+            std::fputs(json::escape(name).c_str(), out);
             std::fprintf(out,
                          "\": {\"count\": %llu, \"mean\": %.17g, "
                          "\"min\": %.17g, \"max\": %.17g}",
@@ -495,7 +478,7 @@ writeJson(std::FILE *out, const std::vector<Point> &points,
         first = true;
         for (const auto &[name, dist] : r.distributions) {
             std::fprintf(out, "%s\n          \"", first ? "" : ",");
-            jsonEscape(out, name);
+            std::fputs(json::escape(name).c_str(), out);
             std::fprintf(out,
                          "\": {\"count\": %llu, \"sum\": %llu, "
                          "\"min\": %llu, \"max\": %llu, \"buckets\": [",

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "common/json.hh"
 #include "obs/manifest.hh"
 
 namespace acp::obs
@@ -12,33 +13,12 @@ namespace
 {
 
 void
-jsonEscape(std::string &out, const std::string &text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char esc[8];
-                std::snprintf(esc, sizeof(esc), "\\u%04x", c);
-                out += esc;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void
 appendStr(std::string &out, const char *key, const std::string &value)
 {
     out += '"';
     out += key;
     out += "\":\"";
-    jsonEscape(out, value);
+    out += json::escape(value);
     out += "\",";
 }
 
@@ -77,7 +57,18 @@ Heartbeat::open(const std::string &spec)
     if (spec.empty() || spec == "-")
         return std::make_unique<Heartbeat>(stderr, /*own=*/false);
     if (spec.rfind("fd:", 0) == 0) {
-        int fd = int(std::strtol(spec.c_str() + 3, nullptr, 10));
+        // Digits only: strtol would take "fd:1junk" as fd 1 and
+        // "fd:-1" as a negative descriptor.
+        std::string digits = spec.substr(3);
+        if (digits.empty() || digits.size() > 9 ||
+            digits.find_first_not_of("0123456789") != std::string::npos) {
+            std::fprintf(stderr,
+                         "heartbeat: '%s' is not fd:N (N a decimal file "
+                         "descriptor)\n",
+                         spec.c_str());
+            return nullptr;
+        }
+        int fd = std::atoi(digits.c_str());
         std::FILE *f = ::fdopen(fd, "w");
         if (!f) {
             std::fprintf(stderr, "heartbeat: cannot adopt fd %d\n", fd);
@@ -201,35 +192,31 @@ Heartbeat::runStart(const std::string &workload, const std::string &label)
 
 void
 Heartbeat::runTick(const std::string &workload, const std::string &label,
-                   Cycle cycle, std::uint64_t insts, Cycle interval_cycles,
-                   std::uint64_t interval_insts, std::uint64_t txns,
-                   const StallArray &stall_delta)
+                   const IntervalSample &row, std::uint64_t insts,
+                   std::uint64_t txns)
 {
     std::string line;
     line.reserve(512);
     line += "{\"t\":\"tick\",";
     appendStr(line, "workload", workload);
     appendStr(line, "label", label);
-    appendU64(line, "cycle", cycle);
+    appendU64(line, "cycle", row.endCycle);
     appendU64(line, "insts", insts);
-    appendU64(line, "intervalCycles", interval_cycles);
-    appendU64(line, "intervalInsts", interval_insts);
-    appendF(line, "intervalIpc",
-            interval_cycles ? double(interval_insts) /
-                                  double(interval_cycles)
-                            : 0.0);
+    appendU64(line, "intervalCycles", row.cycles);
+    appendU64(line, "intervalInsts", row.insts);
+    appendF(line, "intervalIpc", row.ipc);
     appendU64(line, "txns", txns);
     line += "\"stalls\":{";
     bool first = true;
     for (unsigned i = 0; i < kNumStallCauses; ++i) {
-        if (stall_delta[i] == 0)
+        if (row.stalls[i] == 0)
             continue;
         if (!first)
             line += ',';
         line += '"';
         line += stallCauseName(StallCause(i));
         line += "\":";
-        line += std::to_string(stall_delta[i]);
+        line += std::to_string(row.stalls[i]);
         first = false;
     }
     line += "},";

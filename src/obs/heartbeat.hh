@@ -25,14 +25,17 @@
  * The Heartbeat object is the shared, thread-safe sink (the
  * exp::submit runs points on a thread pool; records from concurrent
  * runs interleave but each line is written atomically under a lock).
- * A HeartbeatRun is the per-simulation feed the core drives: it
- * differences the cumulative (cycle, insts, stalls) totals into
- * per-interval deltas every `period` *simulated* cycles.
+ * A HeartbeatRun is the per-simulation feed the core drives: it is an
+ * obs::IntervalSampler, the same boundary-exact differencing that
+ * backs --stats-interval, and only formats each row it is handed as a
+ * `tick`. A tick therefore lands on every exact multiple of `period`
+ * simulated cycles from the window start, and equals the interval row
+ * of the same cycle when both periods match.
  *
  * The heartbeat is strictly passive — it reads cumulative statistics
  * the core maintains anyway and never feeds anything back, so a
- * heartbeat-enabled run is bit-identical to a silent one (asserted in
- * tests/test_telemetry.cc).
+ * heartbeat-enabled run is bit-identical to a silent one (asserted by
+ * Observability.EverySinkOnMatchesEverySinkOff).
  */
 
 #ifndef ACP_OBS_HEARTBEAT_HH
@@ -45,7 +48,7 @@
 #include <string>
 
 #include "common/types.hh"
-#include "obs/stall.hh"
+#include "obs/interval.hh"
 
 namespace acp::obs
 {
@@ -58,10 +61,10 @@ class Heartbeat
   public:
     /**
      * Open a sink from a command-line spec: "-" (or empty) appends to
-     * stderr, "fd:N" adopts an inherited file descriptor (e.g. a pipe
-     * from a parent process), anything else is a file
-     * path (truncated). Returns nullptr (with a message on stderr)
-     * when the target can't be opened.
+     * stderr, "fd:N" (N decimal digits) adopts an inherited file
+     * descriptor (e.g. a pipe from a parent process), anything else
+     * is a file path (truncated). Returns nullptr (with a message on
+     * stderr) for a malformed fd:N or a target that can't be opened.
      */
     static std::unique_ptr<Heartbeat> open(const std::string &spec);
 
@@ -89,9 +92,8 @@ class Heartbeat
     // ----- run-level records (emitted through HeartbeatRun) -----------
     void runStart(const std::string &workload, const std::string &label);
     void runTick(const std::string &workload, const std::string &label,
-                 Cycle cycle, std::uint64_t insts,
-                 Cycle interval_cycles, std::uint64_t interval_insts,
-                 std::uint64_t txns, const StallArray &stall_delta);
+                 const IntervalSample &row, std::uint64_t insts,
+                 std::uint64_t txns);
     void runEnd(const std::string &workload, const std::string &label,
                 Cycle cycle, std::uint64_t insts, double ipc,
                 const char *reason);
@@ -109,54 +111,23 @@ class Heartbeat
 
 /**
  * Per-simulation feed: created by the submit engine for each simulated
- * point, attached to the core like the IntervalRecorder. The core
- * calls sample() from its per-cycle accounting (and from the batched
- * idle-window replay); the feed decides when a full period has
- * elapsed and differences the cumulative totals into a tick record.
+ * point and attached to the core next to the IntervalRecorder. The
+ * core feeds both through the same sampler path; each row becomes one
+ * tick record.
  */
-class HeartbeatRun
+class HeartbeatRun final : public IntervalSampler
 {
   public:
     HeartbeatRun(Heartbeat &hb, std::string workload, std::string label,
                  Cycle period)
-        : hb_(hb), workload_(std::move(workload)),
-          label_(std::move(label)), period_(period ? period : 1)
+        : IntervalSampler(period), hb_(hb), workload_(std::move(workload)),
+          label_(std::move(label))
     {
         hb_.runStart(workload_, label_);
     }
 
-    /** First cycle at which sample() will emit (cheap hot-path check). */
-    Cycle nextSampleCycle() const { return next_; }
-
-    /**
-     * Feed cumulative totals at @p cycle; emits a tick when the
-     * period boundary has been reached. @p txns is the cumulative
-     * count of retired off-chip transactions.
-     */
-    void
-    sample(Cycle cycle, std::uint64_t insts, const StallArray &stalls,
-           std::uint64_t txns)
-    {
-        if (cycle < next_)
-            return;
-        StallArray delta{};
-        for (unsigned i = 0; i < kNumStallCauses; ++i)
-            delta[i] = stalls[i] - lastStalls_[i];
-        hb_.runTick(workload_, label_, cycle, insts, cycle - lastCycle_,
-                    insts - lastInsts_, txns, delta);
-        lastCycle_ = cycle;
-        lastInsts_ = insts;
-        lastStalls_ = stalls;
-        next_ = cycle + period_;
-    }
-
     /** Anchor the deltas to the start of the timed window. */
-    void
-    begin(Cycle cycle)
-    {
-        lastCycle_ = cycle;
-        next_ = cycle + period_;
-    }
+    void begin(Cycle cycle) { anchor(cycle); }
 
     /** Emit the closing record (end of the timed window). */
     void
@@ -166,14 +137,16 @@ class HeartbeatRun
     }
 
   private:
+    void
+    onSample(const IntervalSample &row, std::uint64_t committed,
+             std::uint64_t txns) override
+    {
+        hb_.runTick(workload_, label_, row, committed, txns);
+    }
+
     Heartbeat &hb_;
     std::string workload_;
     std::string label_;
-    Cycle period_;
-    Cycle next_ = 0;
-    Cycle lastCycle_ = 0;
-    std::uint64_t lastInsts_ = 0;
-    StallArray lastStalls_{};
 };
 
 } // namespace acp::obs

@@ -6,6 +6,23 @@ namespace acp::obs
 {
 
 void
+IntervalSampler::sample(Cycle cycle, std::uint64_t committed,
+                        const StallArray &stalls, std::uint64_t txns)
+{
+    IntervalSample row;
+    row.endCycle = cycle;
+    row.cycles = cycle - lastCycle_;
+    row.insts = committed - lastCommitted_;
+    row.ipc = row.cycles ? double(row.insts) / double(row.cycles) : 0.0;
+    for (unsigned i = 0; i < kNumStallCauses; ++i)
+        row.stalls[i] = stalls[i] - lastStalls_[i];
+    lastCycle_ = cycle;
+    lastCommitted_ = committed;
+    lastStalls_ = stalls;
+    onSample(row, committed, txns);
+}
+
+void
 printIntervalTable(const std::vector<IntervalSample> &samples,
                    std::FILE *out)
 {

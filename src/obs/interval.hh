@@ -1,16 +1,19 @@
 /**
  * @file
- * Interval statistics: periodic snapshots of the core's progress
+ * Interval sampling: periodic snapshots of the core's progress
  * (committed instructions, cycles, IPC) and its stall-cycle breakdown
- * over fixed-length cycle windows, producing the IPC/stall time
- * series behind --stats-interval.
+ * over fixed-length cycle windows.
  *
- * The recorder is fed by the core with *cumulative* totals at its
- * sample boundaries (nextSampleCycle()); it differentiates them into
- * per-interval deltas. The core splits skipped idle windows at those
- * boundaries, so the series matches a per-cycle feed exactly. It
- * never feeds anything back into the model, so enabling intervals
- * cannot perturb simulation results.
+ * One sampler, two sinks. An IntervalSampler is fed by the core with
+ * *cumulative* totals at its sample boundaries (nextSampleCycle()) and
+ * differences them into one row per period; a sink overrides
+ * onSample() to keep the row. IntervalRecorder keeps the rows as the
+ * IPC/stall time series behind --stats-interval; obs::HeartbeatRun
+ * streams each row as a live `tick` record. The core cuts skipped idle
+ * windows at the earliest boundary of every attached sampler, so each
+ * row lands on an exact multiple of the period and matches a
+ * per-cycle feed. No sampler ever feeds anything back into the model,
+ * so enabling one cannot perturb simulation results.
  */
 
 #ifndef ACP_OBS_INTERVAL_HH
@@ -41,15 +44,19 @@ struct IntervalSample
     StallArray stalls{};
 };
 
-/** The recorder. */
-class IntervalRecorder
+/** Boundary-exact differencing of the core's cumulative feed. */
+class IntervalSampler
 {
   public:
-    /** Snapshot every @p period cycles (0 behaves as 1). */
-    explicit IntervalRecorder(Cycle period)
-        : period_(period ? period : 1)
+    /** Sample every @p period cycles (0 behaves as 1). */
+    explicit IntervalSampler(Cycle period) : period_(period ? period : 1)
     {
     }
+
+    virtual ~IntervalSampler() = default;
+
+    IntervalSampler(const IntervalSampler &) = delete;
+    IntervalSampler &operator=(const IntervalSampler &) = delete;
 
     Cycle period() const { return period_; }
 
@@ -58,34 +65,53 @@ class IntervalRecorder
     Cycle nextSampleCycle() const { return lastCycle_ + period_; }
 
     /**
-     * Advance to @p cycle with cumulative committed/stall totals;
-     * emits a sample when a full period has elapsed since the last.
+     * Advance to @p cycle with cumulative committed/stall totals and
+     * the cumulative count of retired off-chip transactions; emits a
+     * sample when a full period has elapsed since the last.
      */
     void
-    tick(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
+    tick(Cycle cycle, std::uint64_t committed, const StallArray &stalls,
+         std::uint64_t txns)
     {
         if (cycle - lastCycle_ >= period_)
-            snapshot(cycle, committed, stalls);
+            sample(cycle, committed, stalls, txns);
     }
+
+  protected:
+    /** Move the delta anchor to @p cycle without emitting. */
+    void anchor(Cycle cycle) { lastCycle_ = cycle; }
+
+    Cycle lastCycle() const { return lastCycle_; }
+
+    /** Difference the totals against the last sample, hand the row to
+     *  onSample() and re-anchor at @p cycle. */
+    void sample(Cycle cycle, std::uint64_t committed,
+                const StallArray &stalls, std::uint64_t txns);
+
+    /** One row is due. @p committed and @p txns are the cumulative
+     *  totals the row was differenced from. */
+    virtual void onSample(const IntervalSample &row, std::uint64_t committed,
+                          std::uint64_t txns) = 0;
+
+  private:
+    Cycle period_;
+    Cycle lastCycle_ = 0;
+    std::uint64_t lastCommitted_ = 0;
+    StallArray lastStalls_{};
+};
+
+/** Sink that keeps the rows in memory (exp::Result::intervals). */
+class IntervalRecorder final : public IntervalSampler
+{
+  public:
+    using IntervalSampler::IntervalSampler;
 
     /** Flush the partial tail interval (end of the timed window). */
     void
     finish(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
     {
-        if (cycle > lastCycle_)
-            snapshot(cycle, committed, stalls);
-    }
-
-    /**
-     * Re-anchor the deltas without emitting (a stats reset happened:
-     * cumulative counters went back to zero mid-run).
-     */
-    void
-    rebase(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
-    {
-        lastCycle_ = cycle;
-        lastCommitted_ = committed;
-        lastStalls_ = stalls;
+        if (cycle > lastCycle())
+            sample(cycle, committed, stalls, 0);
     }
 
     const std::vector<IntervalSample> &samples() const { return samples_; }
@@ -94,23 +120,11 @@ class IntervalRecorder
 
   private:
     void
-    snapshot(Cycle cycle, std::uint64_t committed, const StallArray &stalls)
+    onSample(const IntervalSample &row, std::uint64_t, std::uint64_t) override
     {
-        IntervalSample s;
-        s.endCycle = cycle;
-        s.cycles = cycle - lastCycle_;
-        s.insts = committed - lastCommitted_;
-        s.ipc = s.cycles ? double(s.insts) / double(s.cycles) : 0.0;
-        for (unsigned i = 0; i < kNumStallCauses; ++i)
-            s.stalls[i] = stalls[i] - lastStalls_[i];
-        samples_.push_back(s);
-        rebase(cycle, committed, stalls);
+        samples_.push_back(row);
     }
 
-    Cycle period_;
-    Cycle lastCycle_ = 0;
-    std::uint64_t lastCommitted_ = 0;
-    StallArray lastStalls_{};
     std::vector<IntervalSample> samples_;
 };
 

@@ -165,7 +165,9 @@ System::measureTimed(std::uint64_t max_insts, std::uint64_t max_cycles)
             res.cycles = cyc;
         // The window is over: emit the partial tail interval so
         // interval cycle counts sum to the window length.
-        c.flushIntervals();
+        if (slots_[i].recorder)
+            slots_[i].recorder->finish(c.cycles(), c.instsCommitted(),
+                                       c.stallCycles());
     }
     res.ipc = res.cycles ? double(res.insts) / double(res.cycles) : 0.0;
     return res;

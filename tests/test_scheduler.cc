@@ -5,9 +5,10 @@
  *     produce the same run result, stall taxonomy, stat dump, and
  *     profiler segments, on several workload x policy points, and
  *     those points keep their pinned cycle and issue counts;
- *   - the interval series is exact and passive: fed once per sample
- *     boundary across skipped idle windows, its rows tile the window
- *     and sum to the run totals, and recording it moves no result;
+ *   - the interval series is exact: fed once per sample boundary
+ *     across skipped idle windows, its rows tile the window and sum
+ *     to the run totals (that recording it moves no result is
+ *     Observability.EverySinkOnMatchesEverySinkOff's job);
  *   - same-cycle wakes dispatch deterministically in attachment order
  *     (front attachments first), and re-arms keep that order;
  *   - the Txn timeline arena never leaks: blocks of spilled timelines
@@ -163,9 +164,10 @@ TEST(Scheduler, ProfilerSegmentsDeterministic)
 
 // The recorder is fed at its sample boundaries only (idle windows are
 // split there, not walked per cycle). The series must still tile the
-// window exactly, sum to the run totals, leave every result and stat
-// untouched, and match the rows of the per-cycle feed it replaced
-// (digests recorded from that implementation).
+// window exactly, sum to the run totals, and match the rows of the
+// per-cycle feed it replaced (digests recorded from that
+// implementation). Passivity is asserted, for every sink at once, by
+// Observability.EverySinkOnMatchesEverySinkOff.
 TEST(Intervals, BoundaryFedSeriesIsExactAndPassive)
 {
     constexpr std::uint64_t kPeriod = 1000;
@@ -179,14 +181,7 @@ TEST(Intervals, BoundaryFedSeriesIsExactAndPassive)
         {"gcc", AuthPolicy::kBaseline, 0x1576c6968d5a013dull},
     };
     for (const auto &p : points) {
-        PointOutcome plain = runPoint(p.workload, p.policy);
         PointOutcome sampled = runPoint(p.workload, p.policy, kPeriod);
-
-        EXPECT_EQ(plain.run.insts, sampled.run.insts) << p.workload;
-        EXPECT_EQ(plain.run.cycles, sampled.run.cycles) << p.workload;
-        EXPECT_EQ(plain.run.reason, sampled.run.reason) << p.workload;
-        EXPECT_EQ(plain.stats, sampled.stats) << p.workload;
-        EXPECT_TRUE(plain.intervals.empty()) << p.workload;
 
         const std::vector<obs::IntervalSample> &series = sampled.intervals;
         ASSERT_GE(series.size(), 2u) << p.workload;

@@ -2,12 +2,14 @@
  * @file
  * Tests for the acp::obs telemetry layer: provenance manifests are
  * deterministic (identical minus timestamps), the heartbeat stream is
- * well-formed JSONL and strictly passive (a heartbeat run is
- * bit-identical to a silent one; a run shorter than one interval
- * emits only run_start/run_end), the sim.host.* self-metrics satisfy
- * their partition invariants, the result store counts hits/misses and
- * carries a provenance comment, and the sweep JSON gains the v3
- * manifest + telemetry blocks without perturbing any result.
+ * well-formed JSONL (a run shorter than one interval emits only
+ * run_start/run_end), its ticks are the interval rows of the shared
+ * sampler, a malformed fd:N sink spec is refused, every observability
+ * sink at once leaves a run bit-identical to a silent one, the
+ * sim.host.* self-metrics satisfy their partition invariants, the
+ * result store counts hits/misses and carries a provenance comment,
+ * and the sweep JSON gains the v3 manifest + telemetry blocks without
+ * perturbing any result.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +17,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "exp/request.hh"
 #include "exp/result_store.hh"
@@ -27,6 +31,7 @@
 #include "mem/txn.hh"
 #include "obs/heartbeat.hh"
 #include "obs/manifest.hh"
+#include "obs/trace.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
 
@@ -185,12 +190,9 @@ TEST(Manifest, JsonLineAndTextCarryTheSha)
 
 // ----- heartbeat ---------------------------------------------------------
 
-TEST(Heartbeat, StreamIsWellFormedAndPassive)
+TEST(Heartbeat, StreamIsWellFormed)
 {
-    // Silent reference run.
-    exp::Result ref = exp::submit(smallRequest()).results[0];
-
-    // Heartbeat run: period far below the window so ticks fire.
+    // Period far below the window so ticks fire.
     ScratchFile jsonl("test_heartbeat_stream.jsonl");
     {
         auto sink = obs::Heartbeat::open(jsonl.path());
@@ -198,14 +200,7 @@ TEST(Heartbeat, StreamIsWellFormedAndPassive)
         exp::Request req = smallRequest();
         req.heartbeat = sink.get();
         req.heartbeatPeriod = 500;
-        exp::Result res = exp::submit(req).results[0];
-
-        // Passive contract: final stats equal the silent run, bit for
-        // bit, down to every captured counter.
-        EXPECT_EQ(res.run.insts, ref.run.insts);
-        EXPECT_EQ(res.run.cycles, ref.run.cycles);
-        EXPECT_EQ(res.run.ipc, ref.run.ipc);
-        EXPECT_EQ(res.counters, ref.counters);
+        exp::submit(req);
     }
 
     std::string text = jsonl.contents();
@@ -273,6 +268,82 @@ TEST(Heartbeat, RunShorterThanOneIntervalEmitsNoTicks)
     EXPECT_EQ(countRecords(text, "sweep_end"), 1u);
 }
 
+// One sampler feeds both sinks: with equal periods, tick k is interval
+// row k, landing on the same exact period boundary with the same
+// deltas. Only the tail row (flushed at the window end) has no tick.
+TEST(Heartbeat, TicksMatchIntervalRows)
+{
+    struct
+    {
+        const char *workload;
+        std::uint64_t warmup, measure, period;
+    } points[] = {
+        {"gap", 5000, 5000, 100},
+        {"mcf", 10000, 20000, 1000},
+    };
+    for (const auto &p : points) {
+        ScratchFile jsonl("test_heartbeat_rows.jsonl");
+        exp::Result res;
+        {
+            auto sink = obs::Heartbeat::open(jsonl.path());
+            ASSERT_NE(sink, nullptr);
+            sim::SimConfig cfg = smallConfig();
+            cfg.policy = core::AuthPolicy::kAuthThenCommit;
+            cfg.statsInterval = p.period;
+            workloads::WorkloadParams params;
+            params.workingSetBytes = 1 << 20;
+            exp::Request req;
+            req.base(cfg).params(params).window(p.warmup, p.measure);
+            req.workload(p.workload);
+            req.jobs = 1;
+            req.store.clear();
+            req.progress = false;
+            req.heartbeat = sink.get();
+            req.heartbeatPeriod = p.period;
+            res = exp::submit(req).results[0];
+        }
+        const std::vector<obs::IntervalSample> &rows = res.intervals;
+
+        std::vector<json::Value> ticks;
+        std::istringstream text(jsonl.contents());
+        for (std::string line; std::getline(text, line);) {
+            json::Value rec;
+            ASSERT_TRUE(json::parse(line, rec)) << line;
+            const json::Value *type = rec.find("t");
+            if (type && type->str == "tick")
+                ticks.push_back(rec);
+        }
+
+        ASSERT_GE(ticks.size(), 10u) << p.workload;
+        ASSERT_EQ(ticks.size() + 1, rows.size()) << p.workload;
+        for (std::size_t k = 0; k < ticks.size(); ++k) {
+            const json::Value &tick = ticks[k];
+            EXPECT_EQ(tick.find("cycle")->asU64(), (k + 1) * p.period)
+                << p.workload << " tick " << k;
+            EXPECT_EQ(tick.find("cycle")->asU64(), rows[k].endCycle)
+                << p.workload << " tick " << k;
+            EXPECT_EQ(tick.find("intervalCycles")->asU64(), rows[k].cycles)
+                << p.workload << " tick " << k;
+            EXPECT_EQ(tick.find("intervalInsts")->asU64(), rows[k].insts)
+                << p.workload << " tick " << k;
+            const json::Value *stalls = tick.find("stalls");
+            ASSERT_NE(stalls, nullptr);
+            for (unsigned c = 0; c < obs::kNumStallCauses; ++c) {
+                const json::Value *delta =
+                    stalls->find(obs::stallCauseName(obs::StallCause(c)));
+                EXPECT_EQ(delta ? delta->asU64() : 0, rows[k].stalls[c])
+                    << p.workload << " tick " << k << " cause " << c;
+            }
+        }
+    }
+}
+
+TEST(Heartbeat, MalformedFdSpecIsRejected)
+{
+    for (const char *spec : {"fd:", "fd:abc", "fd:1junk", "fd:-1"})
+        EXPECT_EQ(obs::Heartbeat::open(spec), nullptr) << spec;
+}
+
 TEST(Heartbeat, PointsAndCacheSplitAccumulate)
 {
     // 2-point sweep through a store: second run is fully cached, and
@@ -296,6 +367,85 @@ TEST(Heartbeat, PointsAndCacheSplitAccumulate)
     EXPECT_NE(text.find("\"total\":2,\"cached\":2,\"simulated\":0"),
               std::string::npos);
     EXPECT_NE(text.find("\"cacheHits\":"), std::string::npos);
+}
+
+// ----- passivity ---------------------------------------------------------
+
+namespace
+{
+
+/** Drop the sim.host.* self-metrics: host time and scheduler wakes are
+ *  meant to differ between an observed and a silent run. */
+std::map<std::string, std::uint64_t>
+simCounters(const std::map<std::string, std::uint64_t> &counters)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const auto &[name, value] : counters)
+        if (name.rfind("sim.host.", 0) != 0)
+            out.emplace(name, value);
+    return out;
+}
+
+std::string
+simStatsText(const std::string &text)
+{
+    std::istringstream in(text);
+    std::string out;
+    for (std::string line; std::getline(in, line);)
+        if (line.find("sim.host.") == std::string::npos)
+            out += line + '\n';
+    return out;
+}
+
+} // namespace
+
+// Every observability sink is passive: a run with the trace buffer
+// (all categories), interval statistics, the path profiler, the
+// sim.host.* self-metrics and a heartbeat all on simulates exactly
+// what a run with all of them off does.
+TEST(Observability, EverySinkOnMatchesEverySinkOff)
+{
+    ScratchFile jsonl("test_every_sink.jsonl");
+    auto sink = obs::Heartbeat::open(jsonl.path());
+    ASSERT_NE(sink, nullptr);
+
+    for (const char *workload : {"swim", "mcf+gcc"}) {
+        auto run = [&](bool observed) {
+            sim::SimConfig cfg = smallConfig();
+            cfg.policy = core::AuthPolicy::kAuthThenCommit;
+            if (observed) {
+                cfg.traceMask = obs::kCatAll;
+                cfg.statsInterval = 700;
+                cfg.profileEnabled = true;
+                cfg.hostStats = true;
+            }
+            exp::Request req = smallRequest(workload);
+            req.base(cfg);
+            req.captureStatsText = true;
+            if (observed) {
+                req.heartbeat = sink.get();
+                req.heartbeatPeriod = 500;
+            }
+            return exp::submit(req).results[0];
+        };
+        exp::Result off = run(false);
+        exp::Result on = run(true);
+
+        EXPECT_EQ(on.run.insts, off.run.insts) << workload;
+        EXPECT_EQ(on.run.cycles, off.run.cycles) << workload;
+        EXPECT_EQ(on.run.ipc, off.run.ipc) << workload;
+        EXPECT_EQ(on.run.reason, off.run.reason) << workload;
+        EXPECT_EQ(simCounters(on.counters), simCounters(off.counters))
+            << workload;
+        EXPECT_EQ(simStatsText(on.statsText), simStatsText(off.statsText))
+            << workload;
+        // The sinks really were on.
+        EXPECT_FALSE(on.intervals.empty()) << workload;
+        EXPECT_TRUE(on.hasProfile) << workload;
+        EXPECT_NE(on.counters.size(), simCounters(on.counters).size())
+            << workload;
+    }
+    EXPECT_GT(countRecords(jsonl.contents(), "tick"), 0u);
 }
 
 // ----- sim.host.* self-metrics -------------------------------------------

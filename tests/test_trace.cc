@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the structured trace subsystem: the ring buffer and its
- * category mask, trace determinism, the guarantee that tracing never
- * perturbs simulation results, the Chrome trace-event JSON sink, and
+ * category mask, trace determinism, the Chrome trace-event JSON sink, and
  * the agreement between traced authentication spans and the auth
  * engine's verify_latency statistic.
  */
@@ -110,20 +109,17 @@ TEST(Trace, DeterministicAcrossIdenticalRuns)
         ASSERT_TRUE(first[i] == second[i]) << "event " << i << " differs";
 }
 
-TEST(Trace, TracingNeverPerturbsResults)
+TEST(Trace, MaskGatesTheBuffer)
 {
-    // traceMask == 0 (no buffer at all) and kCatAll (everything
-    // recorded) must produce bit-identical simulations: identical
-    // run results and identical full statistics dumps.
-    sim::RunResult run_off, run_on;
-    std::string stats_off, stats_on;
+    // traceMask == 0 builds no buffer at all; kCatAll records events.
+    // That tracing moves no result is asserted, for every sink at
+    // once, by Observability.EverySinkOnMatchesEverySinkOff.
     {
         sim::System system(
             smallConfig(AuthPolicy::kAuthThenCommit, 0),
             workloads::build("swim", smallParams()));
         system.fastForward(2000);
-        run_off = system.measureTimed(3000, 3000 * 400);
-        stats_off = system.dumpStats();
+        system.measureTimed(3000, 3000 * 400);
         EXPECT_EQ(system.traceBuffer(), nullptr);
     }
     {
@@ -131,16 +127,10 @@ TEST(Trace, TracingNeverPerturbsResults)
             smallConfig(AuthPolicy::kAuthThenCommit, obs::kCatAll),
             workloads::build("swim", smallParams()));
         system.fastForward(2000);
-        run_on = system.measureTimed(3000, 3000 * 400);
-        stats_on = system.dumpStats();
+        system.measureTimed(3000, 3000 * 400);
         ASSERT_NE(system.traceBuffer(), nullptr);
         EXPECT_GT(system.traceBuffer()->recorded(), 0u);
     }
-    EXPECT_EQ(run_off.insts, run_on.insts);
-    EXPECT_EQ(run_off.cycles, run_on.cycles);
-    EXPECT_EQ(run_off.ipc, run_on.ipc);
-    EXPECT_EQ(run_off.reason, run_on.reason);
-    EXPECT_EQ(stats_off, stats_on);
 }
 
 TEST(Trace, AuthSpansMatchVerifyLatencyStat)

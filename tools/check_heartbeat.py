@@ -12,8 +12,10 @@ heartbeat smoke output:
   - per (workload, label) run: run_start precedes ticks, ticks carry
     monotonically increasing cycles and cumulative insts, interval
     deltas are consistent (intervalCycles == cycle step, intervalIpc ==
-    intervalInsts / intervalCycles), stall deltas are non-negative, and
-    run_end closes the feed;
+    intervalInsts / intervalCycles), every tick spans the same
+    intervalCycles as the feed's first (ticks land on exact period
+    boundaries), stall deltas are non-negative, and run_end closes the
+    feed;
   - sweep accounting: point records count up to done == total, the
     cached/simulated split adds up, and sweep_end totals match;
   - a run shorter than one heartbeat interval is valid: run_start +
@@ -94,7 +96,8 @@ def check_stream(lines, where):
                 if state is not None and state != "closed":
                     fail(f"{where}:{n}: run_start for {key} while a "
                          f"feed is already open")
-                runs[key] = {"cycle": -1, "insts": -1, "ticks": 0}
+                runs[key] = {"cycle": -1, "insts": -1, "ticks": 0,
+                             "period": None}
             elif state is None or state == "closed":
                 fail(f"{where}:{n}: {t} for {key} without run_start")
             elif t == "tick":
@@ -115,6 +118,11 @@ def check_stream(lines, where):
                 if state["ticks"] > 0 and dc != cycle - state["cycle"]:
                     fail(f"{where}:{n}: intervalCycles {dc} != cycle "
                          f"step {cycle - state['cycle']}")
+                if state["period"] is None:
+                    state["period"] = dc
+                elif dc != state["period"]:
+                    fail(f"{where}:{n}: intervalCycles {dc} drifts from "
+                         f"the feed's period {state['period']}")
                 if dc > 0:
                     ipc = rec.get("intervalIpc")
                     if not isinstance(ipc, (int, float)) or \
@@ -252,6 +260,23 @@ def self_test():
         "stalls": {"mem_data": 60000}, "wall": 1.1})
     assert not stream_ok(overfull), \
         "stall deltas exceeding the interval not caught"
+
+    # A tick stretched past its period (the sampler missed a boundary).
+    def tick(cycle, insts, dc, di):
+        return json.dumps({
+            "t": "tick", "workload": "mcf", "label": "baseline",
+            "cycle": cycle, "insts": insts, "intervalCycles": dc,
+            "intervalInsts": di, "intervalIpc": di / dc, "txns": 5,
+            "stalls": {"mem_data": dc // 2}, "wall": 1.1})
+    steady = good[:3] + [tick(100000, 2000, 50000, 1000)] + good[3:]
+    steady[4] = json.dumps({
+        "t": "run_end", "workload": "mcf", "label": "baseline",
+        "cycle": 110000, "insts": 2200, "ipc": 0.02,
+        "reason": "inst_limit", "wall": 1.2})
+    assert stream_ok(steady), "evenly spaced ticks rejected"
+    drifting = list(steady)
+    drifting[3] = tick(100365, 2000, 50365, 1000)
+    assert not stream_ok(drifting), "drifting tick period not caught"
 
     print("check_heartbeat: self-test OK")
     return 0

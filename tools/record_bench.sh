@@ -56,8 +56,11 @@ if [[ -e "$OUT" && "$FORCE" -ne 1 ]]; then
     exit 1
 fi
 
+# Pick a generator only for a fresh build/: cmake refuses to switch the
+# generator of an existing cache (e.g. one configured with Makefiles
+# by the plain `cmake -B build -S .`).
 GENERATOR=()
-if command -v ninja > /dev/null 2>&1; then
+if [[ ! -f build/CMakeCache.txt ]] && command -v ninja > /dev/null 2>&1; then
     GENERATOR=(-G Ninja)
 fi
 
