@@ -21,6 +21,8 @@
 namespace acp
 {
 
+class StatGroup;
+
 /** A named 64-bit event counter. */
 class StatCounter
 {
@@ -205,6 +207,15 @@ class StatVisitor
         (void)name;
         (void)dist;
     }
+};
+
+/** Walk over a model object's stat groups in dump order (cf.
+ *  StatVisitor, which walks the statistics inside one group). */
+class StatGroupVisitor
+{
+  public:
+    virtual ~StatGroupVisitor() = default;
+    virtual void group(StatGroup &g) = 0;
 };
 
 /**

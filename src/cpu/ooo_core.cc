@@ -52,7 +52,7 @@ clearBit(std::vector<std::uint64_t> &mask, unsigned slot)
 
 OooCore::OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
                  Addr entry, unsigned client, const std::string &name)
-    : sim::Component(name), cfg_(cfg), hier_(hier), client_(client),
+    : cfg_(cfg), hier_(hier), client_(client),
       policy_(hier.ctrl().policyFor(client)), bpred_(cfg), regs_(32, 0),
       regTainted_(32, false), fetchPc_(entry), ruu_(cfg.ruuSize),
       renameMap_(32, -1), readyMask_((cfg.ruuSize + 63) / 64, 0),
@@ -217,7 +217,7 @@ OooCore::squashAfter(unsigned pos)
             RuuEntry &producer = ruu_[entry.opProducer[op]];
             if (producer.depHead != int(slot) * 2 + op)
                 acp_panic("%s: squash found a dependent chain out of order",
-                          componentName());
+                          stats_.name().c_str());
             producer.depHead = entry.depNext[op];
         }
         clearBit(readyMask_, slot);
@@ -914,7 +914,7 @@ OooCore::tick()
                   "dispatch-block %u head{valid %d seq %llu pc 0x%llx "
                   "issued %d done %d readyAt %llu load %d store %d "
                   "op0 %d op1 %d prod0 %d prod1 %d})",
-                  componentName(), (unsigned long long)fetchPc_,
+                  stats_.name().c_str(), (unsigned long long)fetchPc_,
                   (unsigned long long)cycle_, ruuCount_,
                   unsigned(commitBlock_), unsigned(dispatchBlock_),
                   head ? head->valid : 0,
@@ -1075,9 +1075,8 @@ OooCore::accountIdleCycles(std::uint64_t n)
 }
 
 Cycle
-OooCore::onWake(Cycle now)
+OooCore::step()
 {
-    (void)now; // the core's clock is cycle_; now == cycle_ by contract
     if (stopReason_ != StopReason::kRunning)
         return kCycleNever;
     if (instsCommitted() >= runInstLimit_) {

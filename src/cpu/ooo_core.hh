@@ -44,7 +44,6 @@
 #include "obs/stall.hh"
 #include "obs/trace.hh"
 #include "secmem/mem_hierarchy.hh"
-#include "sim/component.hh"
 #include "sim/config.hh"
 
 namespace acp::cpu
@@ -63,16 +62,17 @@ enum class StopReason
 /** Stable display name of a stop reason (shared by every sink). */
 const char *stopReasonName(StopReason reason);
 
-/** The out-of-order core: an active component of the system. A
- *  single-core system has one; a multi-core system has numCores of
- *  them registered as clients of one shared MemHierarchy. */
-class OooCore : public sim::Component
+/** The out-of-order core: the only model object that advances
+ *  simulated time. A single-core system has one; a multi-core system
+ *  has numCores of them registered as clients of one shared
+ *  MemHierarchy. */
+class OooCore
 {
   public:
     /**
      * @p client is the hierarchy client id this core issues memory
      * traffic as (from MemHierarchy::registerClient); @p name is the
-     * stat-group / component name — exactly "core" for a single-core
+     * stat-group name — exactly "core" for a single-core
      * system (bit-identical stat surface), "cpuN.core" otherwise.
      * The core runs the per-client policy the shared controller
      * resolved (SecureMemCtrl::policyFor), not necessarily the global
@@ -81,7 +81,7 @@ class OooCore : public sim::Component
     OooCore(const sim::SimConfig &cfg, secmem::MemHierarchy &hier,
             Addr entry, unsigned client = 0,
             const std::string &name = "core");
-    ~OooCore() override;
+    ~OooCore();
 
     /**
      * Enable commit-time co-simulation against a functional shadow
@@ -95,23 +95,23 @@ class OooCore : public sim::Component
     /**
      * Arm a measurement window: run until @p max_insts commits,
      * @p max_cycles elapse, HALT commits, or a security exception
-     * fires. The window executes through the scheduler (seed with
-     * wakeAt(cycles()) and drain); runReason() reports the outcome.
+     * fires. The window executes by calling step() until it returns
+     * kCycleNever; runReason() reports the outcome.
      */
     void beginRun(std::uint64_t max_insts, std::uint64_t max_cycles);
 
     /** Outcome of the armed window: a limit, or why the core stopped. */
     StopReason runReason() const;
 
-    // ----- sim::Component ------------------------------------------------
     /**
-     * Simulate cycle @p now; on an idle outcome, batch-account the
+     * Simulate cycle cycles(); on an idle outcome, batch-account the
      * stall window analytically and jump to the next cycle anything
      * can change (the event-driven fast path). Returns the next cycle
-     * to run, or kCycleNever once stopped / past a limit.
+     * to run (always past the one just simulated), or kCycleNever once
+     * stopped / past a limit.
      */
-    Cycle onWake(Cycle now) override;
-    void visitStats(sim::StatGroupVisitor &v) override { v.group(stats_); }
+    Cycle step();
+    void visitStats(StatGroupVisitor &v) { v.group(stats_); }
 
     // ----- results ------------------------------------------------------
     Cycle cycles() const { return cycle_; }

@@ -24,22 +24,18 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "sim/component.hh"
 #include "sim/config.hh"
 
 namespace acp::mem
 {
 
 /** The arbiter. */
-class BusArbiter : public sim::Component
+class BusArbiter
 {
   public:
     explicit BusArbiter(const sim::SimConfig &cfg);
 
-    /** Passive latency oracle: grants are computed in reserve(). */
-    Cycle onWake(Cycle) override { return kCycleNever; }
-
-    void visitStats(sim::StatGroupVisitor &v) override { v.group(stats_); }
+    void visitStats(StatGroupVisitor &v) { v.group(stats_); }
 
     /**
      * Declare the bus multi-client: @p n cores will present requests.
@@ -54,7 +50,7 @@ class BusArbiter : public sim::Component
      * Reserve the bus for one transfer.
      *
      * The grant policy is first-come-first-served in arrival order:
-     * the scheduler pops core wakes in (cycle, attach-order) order, so
+     * System::measureTimed steps cores in (cycle, core index) order, so
      * same-cycle requests from different clients are granted in a
      * fixed, deterministic core order — the fair round-robin-free
      * arbiter of paper Section 4.3, with determinism by construction.

@@ -7,7 +7,7 @@ namespace acp::mem
 {
 
 Dram::Dram(const sim::SimConfig &cfg, BusArbiter &bus)
-    : sim::Component("dram"), cfg_(cfg), bus_(bus), banks_(cfg.dramBanks),
+    : cfg_(cfg), bus_(bus), banks_(cfg.dramBanks),
       stats_("dram")
 {
     if (!isPowerOfTwo(cfg.dramBanks) || !isPowerOfTwo(cfg.dramRowBytes))

@@ -21,7 +21,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/bus.hh"
-#include "sim/component.hh"
 #include "sim/config.hh"
 
 namespace acp::mem
@@ -42,15 +41,12 @@ struct DramResult
 };
 
 /** Open-row SDRAM with banked structure behind a shared data bus. */
-class Dram : public sim::Component
+class Dram
 {
   public:
     Dram(const sim::SimConfig &cfg, BusArbiter &bus);
 
-    /** Passive latency oracle: completions are computed in access(). */
-    Cycle onWake(Cycle) override { return kCycleNever; }
-
-    void visitStats(sim::StatGroupVisitor &v) override { v.group(stats_); }
+    void visitStats(StatGroupVisitor &v) { v.group(stats_); }
 
     /**
      * Perform one access.

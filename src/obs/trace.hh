@@ -9,9 +9,7 @@
  * untraced one. Components hold a nullable TraceBuffer pointer; with
  * SimConfig::traceMask == 0 no buffer exists and the record sites are
  * a single null check. Category filtering happens inside record()
- * against the mask the buffer was built with. For builds that must
- * not even carry the null checks, defining ACP_OBS_NO_TRACE compiles
- * the ACP_TRACE record macro out entirely.
+ * against the mask the buffer was built with.
  *
  * Events carry their own cycle stamps, so a component may record a
  * future-dated event (e.g. the controller records the verify-done
@@ -201,18 +199,11 @@ class TraceBuffer
 
 } // namespace acp::obs
 
-/**
- * Record-site macro: compiles out entirely under ACP_OBS_NO_TRACE;
- * otherwise a null check plus the masked record call.
- */
-#ifdef ACP_OBS_NO_TRACE
-#define ACP_TRACE(buf, ...) ((void)0)
-#else
+/** Record-site macro: a null check plus the masked record call. */
 #define ACP_TRACE(buf, ...)                                                  \
     do {                                                                     \
         if (buf)                                                             \
             (buf)->record(__VA_ARGS__);                                      \
     } while (0)
-#endif
 
 #endif // ACP_OBS_TRACE_HH

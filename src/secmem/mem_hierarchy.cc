@@ -21,7 +21,7 @@ MemHierarchy::CoreCaches::CoreCaches(const sim::SimConfig &cfg,
 }
 
 MemHierarchy::MemHierarchy(const sim::SimConfig &cfg)
-    : sim::Component("hier"), cfg_(cfg), ctrl_(cfg, cfg.rngSeed),
+    : cfg_(cfg), ctrl_(cfg, cfg.rngSeed),
       stats_("hier")
 {
     if (!isPowerOfTwo(cfg.memoryBytes))
@@ -68,7 +68,7 @@ MemHierarchy::registerClient()
 }
 
 void
-MemHierarchy::visitStats(sim::StatGroupVisitor &v)
+MemHierarchy::visitStats(StatGroupVisitor &v)
 {
     v.group(stats_);
     for (auto &c : cores_) {

@@ -17,9 +17,12 @@
  * point including its full configuration and digest.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,8 +94,8 @@ usage()
         "observability options:\n"
         "  --stats       dump all component statistics\n"
         "  --host-stats  collect sim.host.* simulator self-metrics\n"
-        "                (scheduler wakes + jump histogram per\n"
-        "                component, txn-arena pressure); shown with\n"
+        "                (timed-loop steps + jump histogram per\n"
+        "                core, txn-arena pressure); shown with\n"
         "                --stats and captured into --json\n"
         "  --heartbeat[=SPEC]  stream live JSONL progress records\n"
         "                (sweep/run/tick); SPEC is a file path, fd:N,\n"
@@ -117,20 +120,53 @@ usage()
         "                type, compiler, sanitizers) and exit\n");
 }
 
+/** The value of count option @p opt: a whole number (decimal, or
+ *  0x-hex / 0-octal as strtoull reads them) no larger than @p max.
+ *  Anything else — a sign, a suffix, trailing text, overflow — is
+ *  fatal. */
 std::uint64_t
-parseSize(const char *text)
+parseCount(const std::string &opt, const char *text,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long value = std::strtoull(text, &end, 0);
+    if (!std::isdigit((unsigned char)text[0]) || *end != '\0' ||
+        errno == ERANGE || value > max)
+        acp_fatal("%s needs a whole number up to %llu, not '%s'",
+                  opt.c_str(), (unsigned long long)max, text);
+    return value;
+}
+
+/** parseCount for an unsigned-int option. */
+unsigned
+parseUnsigned(const std::string &opt, const char *text)
+{
+    return unsigned(
+        parseCount(opt, text, std::numeric_limits<unsigned>::max()));
+}
+
+/** The value of size option @p opt in bytes: a non-negative number
+ *  with an optional k/M/G suffix and nothing after it, below 2^64. */
+std::uint64_t
+parseSize(const std::string &opt, const char *text)
 {
     char *end = nullptr;
     double value = std::strtod(text, &end);
-    if (end == text)
-        acp_fatal("bad size '%s'", text);
+    double scale = 1;
     switch (*end) {
-      case 'k': case 'K': return std::uint64_t(value * 1024);
-      case 'm': case 'M': return std::uint64_t(value * 1024 * 1024);
-      case 'g': case 'G': return std::uint64_t(value * 1024 * 1024 * 1024);
-      case '\0': return std::uint64_t(value);
-      default: acp_fatal("bad size suffix '%s'", end);
+      case 'k': case 'K': scale = 1024.0; ++end; break;
+      case 'm': case 'M': scale = 1024.0 * 1024; ++end; break;
+      case 'g': case 'G': scale = 1024.0 * 1024 * 1024; ++end; break;
+      default: break;
     }
+    double bytes = value * scale;
+    // 2^64 is exact as a double; the negated < also rejects NaN.
+    if (!(std::isdigit((unsigned char)text[0]) || text[0] == '.') ||
+        end == text || *end != '\0' || !(bytes < 18446744073709551616.0))
+        acp_fatal("%s needs a size like 512K, 1M or 2G, not '%s'",
+                  opt.c_str(), text);
+    return std::uint64_t(bytes);
 }
 
 core::AuthPolicy
@@ -268,35 +304,35 @@ main(int argc, char **argv)
             if (policy_tokens.empty())
                 acp_fatal("--policy needs at least one policy name");
         } else if (arg == "--cores") {
-            cfg.numCores = unsigned(std::strtoul(next(), nullptr, 0));
+            cfg.numCores = parseUnsigned(arg, next());
             if (cfg.numCores == 0)
                 acp_fatal("--cores needs at least 1");
         } else if (arg == "--l2") {
-            cfg.l2.sizeBytes = parseSize(next());
+            cfg.l2.sizeBytes = parseSize(arg, next());
             cfg.l2.hitLatency = cfg.l2.sizeBytes >= (1 << 20) ? 8 : 4;
         } else if (arg == "--ruu") {
-            cfg.ruuSize = unsigned(std::strtoul(next(), nullptr, 0));
+            cfg.ruuSize = parseUnsigned(arg, next());
             cfg.lsqSize = cfg.ruuSize / 2;
         } else if (arg == "--tree") {
             cfg.hashTreeEnabled = true;
         } else if (arg == "--drain") {
             cfg.fetchGateDrain = true;
         } else if (arg == "--remap") {
-            cfg.remapCache.sizeBytes = parseSize(next());
+            cfg.remapCache.sizeBytes = parseSize(arg, next());
         } else if (arg == "--ws") {
-            params.workingSetBytes = parseSize(next());
+            params.workingSetBytes = parseSize(arg, next());
         } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 0);
+            insts = parseCount(arg, next());
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 0);
+            warmup = parseCount(arg, next());
         } else if (arg == "--auth") {
-            cfg.authLatency = unsigned(std::strtoul(next(), nullptr, 0));
+            cfg.authLatency = parseUnsigned(arg, next());
         } else if (arg == "--seed") {
-            params.seed = std::strtoull(next(), nullptr, 0);
+            params.seed = parseCount(arg, next());
         } else if (arg == "--rng-seed") {
-            cfg.rngSeed = std::strtoull(next(), nullptr, 0);
+            cfg.rngSeed = parseCount(arg, next());
         } else if (arg == "--jobs") {
-            jobs = unsigned(std::strtoul(next(), nullptr, 0));
+            jobs = parseUnsigned(arg, next());
         } else if (arg == "--json") {
             json_file = next();
         } else if (arg == "--cache") {
@@ -308,9 +344,9 @@ main(int argc, char **argv)
         } else if (arg == "--trace") {
             trace_file = next();
         } else if (arg == "--trace-commits") {
-            trace_commits = std::strtoull(next(), nullptr, 0);
+            trace_commits = parseCount(arg, next());
         } else if (arg == "--stats-interval") {
-            cfg.statsInterval = std::strtoull(next(), nullptr, 0);
+            cfg.statsInterval = parseCount(arg, next());
         } else if (arg == "--host-stats") {
             cfg.hostStats = true;
         } else if (arg == "--heartbeat" ||
@@ -319,7 +355,7 @@ main(int argc, char **argv)
             if (arg.size() > std::strlen("--heartbeat="))
                 heartbeat_spec = arg.substr(std::strlen("--heartbeat="));
         } else if (arg == "--heartbeat-interval") {
-            heartbeat_interval = std::strtoull(next(), nullptr, 0);
+            heartbeat_interval = parseCount(arg, next());
         } else if (arg == "--profile" ||
                    arg.rfind("--profile=", 0) == 0) {
             profile = true;

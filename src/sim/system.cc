@@ -38,9 +38,6 @@ System::System(const SimConfig &cfg, std::vector<isa::Program> progs)
                   "programs)",
                   cfg_.numCores, progs_.size());
 
-    sched_.enableHostStats(cfg_.hostStats);
-    sched_.attach(hier_);
-
     slots_.resize(progs_.size());
     for (unsigned i = 0; i < slots_.size(); ++i) {
         CoreSlot &slot = slots_[i];
@@ -101,15 +98,11 @@ System::fastForward(std::uint64_t insts)
 void
 System::createCores()
 {
-    // Reverse order with front attach: the scheduler prepends, so the
-    // components end up [cpu0, cpu1, ..., hier] — cpu0 both dumps
-    // first and wins same-cycle wake ties, and a single-core system
-    // keeps the exact legacy order [core, hier].
-    for (unsigned r = unsigned(slots_.size()); r-- > 0;) {
-        CoreSlot &slot = slots_[r];
+    for (unsigned i = 0; i < slots_.size(); ++i) {
+        CoreSlot &slot = slots_[i];
         std::string name =
             slots_.size() == 1 ? "core"
-                               : "cpu" + std::to_string(r) + ".core";
+                               : "cpu" + std::to_string(i) + ".core";
         slot.core = std::make_unique<cpu::OooCore>(
             cfg_, hier_, slot.refExec->pc(), slot.client, name);
         for (unsigned reg = 0; reg < 32; ++reg)
@@ -118,7 +111,6 @@ System::createCores()
             slot.core->setCosimShadow(slot.refExec.get());
         slot.core->setTrace(trace_.get());
         slot.core->setIntervalRecorder(slot.recorder.get());
-        sched_.attach(*slot.core, /*front=*/true);
     }
 }
 
@@ -144,16 +136,45 @@ System::measureTimed(std::uint64_t max_insts, std::uint64_t max_cycles)
 {
     core(0); // create every core
 
-    std::vector<std::uint64_t> insts0(slots_.size());
-    std::vector<Cycle> cycles0(slots_.size());
-    for (unsigned i = 0; i < slots_.size(); ++i) {
+    const unsigned n = numCores();
+    std::vector<std::uint64_t> insts0(n);
+    std::vector<Cycle> cycles0(n);
+    std::vector<Cycle> next(n);
+    for (unsigned i = 0; i < n; ++i) {
         cpu::OooCore &c = *slots_[i].core;
         insts0[i] = c.instsCommitted();
         cycles0[i] = c.cycles();
         c.beginRun(max_insts, max_cycles);
-        c.wakeAt(c.cycles());
+        next[i] = c.cycles();
     }
-    sched_.run();
+
+    // Step the core with the earliest next cycle; the lower index wins
+    // a tie, so same-cycle bus requests reach the FCFS arbiter in core
+    // order. A stopped core's kCycleNever sorts last; when the earliest
+    // is kCycleNever every core has stopped.
+    for (;;) {
+        unsigned pick = 0;
+        for (unsigned i = 1; i < n; ++i)
+            if (next[i] < next[pick])
+                pick = i;
+        const Cycle now = next[pick];
+        if (now == kCycleNever)
+            break;
+        CoreSlot &slot = slots_[pick];
+        if (cfg_.hostStats) {
+            ++slot.wakes;
+            if (slot.lastWake != kCycleNever)
+                slot.jumps.sample(now - slot.lastWake);
+            slot.lastWake = now;
+        }
+        next[pick] = slot.core->step();
+        if (next[pick] <= now)
+            acp_fatal("core '%s' asked to step at %llu from %llu (time "
+                      "must advance)",
+                      slot.core->stats().name().c_str(),
+                      (unsigned long long)next[pick],
+                      (unsigned long long)now);
+    }
 
     RunResult res;
     res.reason = slots_[0].core->runReason();
@@ -196,17 +217,17 @@ System::pathProfile()
 void
 System::visitHostStatGroups(StatGroupVisitor &v)
 {
-    // Groups are rebuilt on every call: component registration can
-    // grow between dumps (the timed cores attach lazily) and the
-    // arena counters are process-wide snapshots. The temporaries are
-    // consumed synchronously by v.group(), so pointer registration
-    // into them is safe.
+    // Groups are rebuilt on every call: the timed cores are created
+    // lazily and the arena counters are process-wide snapshots. The
+    // temporaries are consumed synchronously by v.group(), so pointer
+    // registration into them is safe.
     StatGroup sched_group("sim.host.sched");
-    for (Component *comp : sched_.components()) {
-        std::string base = comp->componentName();
-        sched_group.addCounter(base + ".wakes", &comp->hostWakes());
-        sched_group.addDistribution(base + ".jump",
-                                    &comp->hostJumpHist());
+    for (CoreSlot &slot : slots_) {
+        if (!slot.core)
+            continue;
+        const std::string &base = slot.core->stats().name();
+        sched_group.addCounter(base + ".wakes", &slot.wakes);
+        sched_group.addDistribution(base + ".jump", &slot.jumps);
     }
     v.group(sched_group);
 
@@ -224,6 +245,17 @@ System::visitHostStatGroups(StatGroupVisitor &v)
     v.group(arena_group);
 }
 
+void
+System::visitGroups(StatGroupVisitor &v)
+{
+    for (CoreSlot &slot : slots_)
+        if (slot.core)
+            slot.core->visitStats(v);
+    hier_.visitStats(v);
+    if (cfg_.hostStats)
+        visitHostStatGroups(v);
+}
+
 std::string
 System::dumpStats()
 {
@@ -232,10 +264,7 @@ System::dumpStats()
         std::string out;
         void group(StatGroup &g) override { g.dump(out); }
     } dumper;
-    for (Component *comp : sched_.components())
-        comp->visitStats(dumper);
-    if (cfg_.hostStats)
-        visitHostStatGroups(dumper);
+    visitGroups(dumper);
     return std::move(dumper.out);
 }
 
@@ -248,10 +277,7 @@ System::visitStats(StatVisitor &visitor)
         explicit Walker(StatVisitor &v) : inner(v) {}
         void group(StatGroup &g) override { g.visit(inner); }
     } walker(visitor);
-    for (Component *comp : sched_.components())
-        comp->visitStats(walker);
-    if (cfg_.hostStats)
-        visitHostStatGroups(walker);
+    visitGroups(walker);
 }
 
 } // namespace acp::sim

@@ -32,7 +32,6 @@
 #include "obs/trace.hh"
 #include "secmem/mem_hierarchy.hh"
 #include "sim/config.hh"
-#include "sim/scheduler.hh"
 
 namespace acp::sim
 {
@@ -79,7 +78,9 @@ class System
     void enableCosim();
 
     /** Run the timed cores for a measurement window (every core gets
-     *  the same per-core limits). */
+     *  the same per-core limits). Only the cores advance time: the
+     *  loop steps the core with the earliest next cycle, the lower
+     *  core index first on a tie, until every core has stopped. */
     RunResult measureTimed(std::uint64_t max_insts,
                            std::uint64_t max_cycles);
 
@@ -88,14 +89,11 @@ class System
     const SimConfig &config() const { return cfg_; }
     const isa::Program &program() const { return progs_[0]; }
 
-    /** Wake scheduler + component registry (dump order = attachment
-     *  order; the core attaches in front of the memory side). */
-    Scheduler &scheduler() { return sched_; }
-
-    /** Dump all component statistics as text. */
+    /** Dump all statistics as text: the created cores in order, then
+     *  the memory hierarchy (then sim.host.* with cfg.hostStats). */
     std::string dumpStats();
 
-    /** Feed every component statistic to @p visitor, typed. */
+    /** Feed every statistic to @p visitor, typed, in dump order. */
     void visitStats(StatVisitor &visitor);
 
     /** Structured trace buffer (nullptr unless cfg.traceMask != 0). */
@@ -135,19 +133,25 @@ class System
         std::unique_ptr<cpu::FuncExecutor> refExec;
         std::unique_ptr<cpu::OooCore> core;
         std::unique_ptr<obs::IntervalRecorder> recorder;
+        // sim.host.sched.<core>.* (kept only with cfg.hostStats):
+        // steps of this core and the simulated cycles between them.
+        StatCounter wakes;
+        StatDistribution jumps;
+        Cycle lastWake = kCycleNever;
     };
 
-    /** Create every timed core at once (deterministic attach order:
-     *  cpu0 wakes/dumps first, then cpu1, ..., then the hierarchy). */
+    /** Create every timed core at once, in core order. */
     void createCores();
 
-    /** Emit the sim.host.* groups (scheduler wakes/jumps per
-     *  component, txn-arena pressure) when cfg.hostStats is set. */
+    /** Emit the sim.host.* groups (steps and jumps per core,
+     *  txn-arena pressure) when cfg.hostStats is set. */
     void visitHostStatGroups(StatGroupVisitor &v);
+
+    /** Every stat group in dump order. */
+    void visitGroups(StatGroupVisitor &v);
 
     SimConfig cfg_;
     std::vector<isa::Program> progs_;
-    Scheduler sched_;
     secmem::MemHierarchy hier_;
     std::vector<CoreSlot> slots_;
     bool cosim_ = false;

@@ -20,6 +20,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
@@ -44,14 +45,14 @@ cfgFor(unsigned cores, AuthPolicy policy)
 /** Run @p cores copies of @p name and return (final stats text, run). */
 std::pair<std::string, sim::RunResult>
 run(const std::string &name, unsigned cores, AuthPolicy policy,
-    std::uint64_t insts = 8000)
+    std::uint64_t insts = 8000, std::uint64_t max_cycles = 40'000'000)
 {
     workloads::WorkloadParams params;
     params.workingSetBytes = 1 << 20;
     sim::System system(cfgFor(cores, policy),
                        workloads::build(name, params));
     system.fastForward(10000);
-    sim::RunResult res = system.measureTimed(insts, 40'000'000);
+    sim::RunResult res = system.measureTimed(insts, max_cycles);
     return {system.dumpStats(), res};
 }
 
@@ -156,6 +157,40 @@ TEST(Multicore, TwoCoreRunsAreDeterministic)
     EXPECT_EQ(stats_a, stats_b);
     EXPECT_EQ(res_a.cycles, res_b.cycles);
     EXPECT_EQ(res_a.insts, res_b.insts);
+
+    // Cores due on the same cycle step in core order (cpu0 first), and
+    // that order decides which same-cycle bus request the FCFS arbiter
+    // grants first. Identical kernels tie often, so these values (from
+    // the wake-queue loop the per-core loop replaced) pin the order:
+    // the cycles an 8000-instruction window takes and its cross-client
+    // contention, and what each core commits in a 100k-cycle window.
+    struct
+    {
+        unsigned cores;
+        std::uint64_t cycles, crossContended;
+        std::vector<std::uint64_t> committed;
+    } pinned[] = {
+        {2, 286325, 480, {2772, 2772}},
+        {4, 521256, 1790, {1542, 1542, 1542, 1542}},
+    };
+    for (const auto &p : pinned) {
+        auto [text, res] = run("mcf", p.cores, AuthPolicy::kAuthThenCommit);
+        EXPECT_EQ(res.cycles, p.cycles) << p.cores << " cores";
+        EXPECT_EQ(get(parseStats(text), "bus.cross_client_contended"),
+                  double(p.crossContended))
+            << p.cores << " cores";
+
+        auto [capped, capped_res] = run("mcf", p.cores,
+                                        AuthPolicy::kAuthThenCommit,
+                                        1'000'000, 100'000);
+        EXPECT_EQ(capped_res.reason, cpu::StopReason::kCycleLimit);
+        auto stats = parseStats(capped);
+        for (unsigned i = 0; i < p.cores; ++i)
+            EXPECT_EQ(get(stats, "cpu" + std::to_string(i) +
+                                     ".core.committed"),
+                      double(p.committed[i]))
+                << p.cores << " cores, cpu" << i;
+    }
 }
 
 TEST(Multicore, PerCorePolicyMix)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Event-driven scheduler tests. Four contracts:
+ * Event-driven timed-loop tests. Three contracts:
  *   - the event loop is deterministic: repeated runs of the same point
  *     produce the same run result, stall taxonomy, stat dump, and
  *     profiler segments, on several workload x policy points, and
@@ -9,8 +9,6 @@
  *     across skipped idle windows, its rows tile the window and sum
  *     to the run totals (that recording it moves no result is
  *     Observability.EverySinkOnMatchesEverySinkOff's job);
- *   - same-cycle wakes dispatch deterministically in attachment order
- *     (front attachments first), and re-arms keep that order;
  *   - the Txn timeline arena never leaks: blocks of spilled timelines
  *     return to the pool and live counts come back to baseline.
  */
@@ -24,7 +22,6 @@
 #include "mem/txn.hh"
 #include "obs/interval.hh"
 #include "sim/config_io.hh"
-#include "sim/scheduler.hh"
 #include "sim/system.hh"
 #include "workloads/workloads.hh"
 
@@ -100,8 +97,8 @@ seriesDigest(const std::vector<obs::IntervalSample> &samples)
 
 } // namespace
 
-// A heap-ordered event loop with a deterministic tie-break must be
-// exactly reproducible: same point, same bits, every time. The exact
+// An event loop with a deterministic tie-break must be exactly
+// reproducible: same point, same bits, every time. The exact
 // timing of each point is pinned too (recorded from the RUU-scan
 // scheduler); twolf, vortex and parser have many loads waiting on
 // older stores with unknown addresses, so the ready list's parked
@@ -207,112 +204,6 @@ TEST(Intervals, BoundaryFedSeriesIsExactAndPassive)
             << p.workload << " digest 0x" << std::hex
             << seriesDigest(series);
     }
-}
-
-namespace
-{
-
-/** Scripted component: logs its wakes and re-arms from a schedule. */
-struct MockComponent final : sim::Component
-{
-    std::vector<std::pair<std::string, Cycle>> *log;
-    std::vector<Cycle> rearms; // consumed front to back
-    std::size_t next = 0;
-
-    MockComponent(const char *name,
-                  std::vector<std::pair<std::string, Cycle>> *l)
-        : sim::Component(name), log(l)
-    {
-    }
-
-    Cycle
-    onWake(Cycle now) override
-    {
-        log->emplace_back(componentName(), now);
-        if (next < rearms.size())
-            return rearms[next++];
-        return kCycleNever;
-    }
-
-    void visitStats(sim::StatGroupVisitor &) override {}
-};
-
-} // namespace
-
-TEST(Scheduler, SameCycleWakesDispatchInAttachmentOrder)
-{
-    std::vector<std::pair<std::string, Cycle>> log;
-    sim::Scheduler sched;
-    MockComponent a("a", &log), b("b", &log), c("c", &log);
-    sched.attach(a);
-    sched.attach(b);
-    sched.attach(c, /*front=*/true); // c dispatches first at equal cycles
-
-    // All three due at cycle 5, enqueued in a scrambled order; a and b
-    // re-arm for cycle 7 (same-cycle tie again) and b once more for 9.
-    a.rearms = {7};
-    b.rearms = {7, 9};
-    b.wakeAt(5);
-    a.wakeAt(5);
-    c.wakeAt(5);
-    sched.run();
-
-    ASSERT_EQ(log.size(), 6u);
-    EXPECT_EQ(log[0], std::make_pair(std::string("c"), Cycle(5)));
-    EXPECT_EQ(log[1], std::make_pair(std::string("a"), Cycle(5)));
-    EXPECT_EQ(log[2], std::make_pair(std::string("b"), Cycle(5)));
-    EXPECT_EQ(log[3], std::make_pair(std::string("a"), Cycle(7)));
-    EXPECT_EQ(log[4], std::make_pair(std::string("b"), Cycle(7)));
-    EXPECT_EQ(log[5], std::make_pair(std::string("b"), Cycle(9)));
-    EXPECT_EQ(sched.pendingWakes(), 0u);
-}
-
-TEST(Scheduler, EarlierWakeWins)
-{
-    std::vector<std::pair<std::string, Cycle>> log;
-    sim::Scheduler sched;
-    MockComponent a("a", &log);
-    sched.attach(a);
-
-    a.wakeAt(20);
-    a.wakeAt(10); // earlier request supersedes the later one
-    sched.run();
-
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0], std::make_pair(std::string("a"), Cycle(10)));
-}
-
-/** Misuse ends in fatal: naming the component, not in a bad vararg. */
-TEST(Scheduler, MisuseIsFatalAndNamesTheComponent)
-{
-    std::vector<std::pair<std::string, Cycle>> log;
-    EXPECT_EXIT(
-        {
-            MockComponent lone("lone-component", &log);
-            lone.wakeAt(3);
-        },
-        ::testing::ExitedWithCode(1),
-        "component 'lone-component' not attached");
-    EXPECT_EXIT(
-        {
-            sim::Scheduler sched;
-            MockComponent twice("twice-component", &log);
-            sched.attach(twice);
-            sched.attach(twice);
-        },
-        ::testing::ExitedWithCode(1),
-        "component 'twice-component' attached twice");
-    EXPECT_EXIT(
-        {
-            sim::Scheduler sched;
-            MockComponent stuck("stuck-component", &log);
-            sched.attach(stuck);
-            stuck.rearms = {4};
-            stuck.wakeAt(4);
-            sched.run();
-        },
-        ::testing::ExitedWithCode(1),
-        "component 'stuck-component' asked to wake at 4 from 4");
 }
 
 TEST(Scheduler, TxnArenaNeverLeaks)

@@ -374,7 +374,7 @@ TEST(Heartbeat, PointsAndCacheSplitAccumulate)
 namespace
 {
 
-/** Drop the sim.host.* self-metrics: host time and scheduler wakes are
+/** Drop the sim.host.* self-metrics: host time and core steps are
  *  meant to differ between an observed and a silent run. */
 std::map<std::string, std::uint64_t>
 simCounters(const std::map<std::string, std::uint64_t> &counters)
@@ -482,13 +482,15 @@ TEST(HostStats, PartitionSanity)
     } cap;
     system.visitStats(cap);
 
-    // The core woke at least once; the jump histogram records exactly
-    // the gaps between consecutive wakes.
+    // The core was stepped at least once; the jump histogram records
+    // exactly the gaps between consecutive steps. Only cores are
+    // stepped, so the memory side has no rows.
     ASSERT_TRUE(cap.counters.count("sim.host.sched.core.wakes"));
     std::uint64_t wakes = cap.counters["sim.host.sched.core.wakes"];
     EXPECT_GE(wakes, 1u);
     ASSERT_TRUE(cap.distCounts.count("sim.host.sched.core.jump"));
     EXPECT_EQ(cap.distCounts["sim.host.sched.core.jump"], wakes - 1);
+    EXPECT_EQ(cap.counters.count("sim.host.sched.hier.wakes"), 0u);
 
     // Arena pressure: live <= high water <= allocs.
     std::uint64_t allocs = cap.counters["sim.host.arena.allocs"];

@@ -23,8 +23,10 @@ cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "--check" ]]; then
     JOBS="${ACP_JOBS:-$(nproc)}"
+    # Pick a generator only for a fresh tree: cmake refuses to switch
+    # the generator of an existing cache.
     GENERATOR=()
-    if command -v ninja > /dev/null 2>&1; then
+    if [[ ! -f build-asan/CMakeCache.txt ]] && command -v ninja > /dev/null 2>&1; then
         GENERATOR=(-G Ninja)
     fi
     cmake -B build-asan "${GENERATOR[@]}" \
@@ -38,8 +40,10 @@ fi
 JOBS="${ACP_JOBS:-$(nproc)}"
 export ACP_JOBS="$JOBS"
 
+# As above: build/ may already be configured with Makefiles by the
+# plain `cmake -B build -S .`.
 GENERATOR=()
-if command -v ninja > /dev/null 2>&1; then
+if [[ ! -f build/CMakeCache.txt ]] && command -v ninja > /dev/null 2>&1; then
     GENERATOR=(-G Ninja)
 fi
 
